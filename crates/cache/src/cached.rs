@@ -1,11 +1,19 @@
-//! The cached synthesis entry point.
+//! The cached synthesis entry points.
 //!
-//! [`synthesize_dcs_cached`] splits synthesis at the prepare/finish seam
-//! of `tce-core`: the model is always rebuilt (cheap, deterministic), the
-//! solver phase (the expensive part) is skipped on a cache hit, and the
-//! stored outcome is replayed through `finish_dcs` so decode, spatial
-//! adjustment, prediction, and codegen all rerun deterministically —
-//! a hit therefore returns a bit-identical `SynthesisResult`.
+//! [`synthesize_dcs_cached`] and [`synthesize_network_cached`] split
+//! synthesis at the prepare/finish seam of `tce-core`: the model is always
+//! rebuilt (cheap, deterministic), the solver phase (the expensive part)
+//! is skipped on a cache hit, and the stored outcome is replayed through
+//! `finish_dcs`/`finish_network` so decode, spatial adjustment,
+//! prediction, and codegen all rerun deterministically — a hit therefore
+//! returns a bit-identical result.
+//!
+//! Dense programs and contraction networks share one replay → solve → put
+//! body ([`run_prepared`] and [`run_network_prepared`] are thin typed
+//! entry points into it). What differs between them — the model, the
+//! finishing step, and the fingerprint salt — sits behind a small private
+//! trait implemented for `tce_core::PreparedSynthesis` and
+//! `tce_core::PreparedNetwork`.
 //!
 //! The cache key is *renaming-invariant*: the model fingerprint comes from
 //! the Weisfeiler-Lehman canonicalization in `tce_solver::canon`, folded
@@ -17,10 +25,11 @@
 
 use crate::record::{CacheRecord, RECORD_SCHEMA};
 use crate::store::SynthesisCache;
+use serde::{Serialize, Value};
 use std::time::{Duration, Instant};
 use tce_core::{
     finish_dcs, finish_network, prepare_dcs, prepare_network, NetworkSynthesis, PreparedNetwork,
-    SynthesisConfig, SynthesisError, SynthesisResult,
+    PreparedSynthesis, SynthesisConfig, SynthesisError, SynthesisResult,
 };
 use tce_ir::network::ContractionDag;
 use tce_solver::model::FEAS_TOL;
@@ -32,21 +41,6 @@ use tce_solver::{
 /// Relative tolerance when revalidating a stored objective against the
 /// request's own model on a hit.
 const OBJECTIVE_REL_TOL: f64 = 1e-9;
-
-/// What a cached synthesis run reports beyond the result itself.
-#[derive(Debug)]
-pub struct CachedSynthesis {
-    /// The synthesis result (bit-identical whether hit or miss).
-    pub result: SynthesisResult,
-    /// Whether the solver phase was skipped.
-    pub hit: bool,
-    /// Hex request fingerprint (cache key).
-    pub fingerprint: String,
-    /// Wall time this run spent in the solver (≈0 on a hit).
-    pub solve_wall: Duration,
-    /// Solver seconds the original run spent — what the hit saved.
-    pub saved_wall_s: f64,
-}
 
 /// Digest of every config field that can change the solver's answer.
 ///
@@ -117,32 +111,148 @@ pub fn network_request_fingerprint(canon: &CanonicalModel, config: &SynthesisCon
     h.finish()
 }
 
-/// A synthesis request that has been prepared and fingerprinted but not
-/// yet solved. Lets callers (e.g. the batch service) learn the cache key
-/// *before* committing to a solve, so identical in-flight requests can be
+/// A prepared model the cache can run: what differs between the dense
+/// and the network pipeline, and nothing else.
+trait Pipeline {
+    /// What finishing a solved model yields.
+    type Output;
+    /// The cache key of a request over this pipeline's model.
+    fn fingerprint(canon: &CanonicalModel, config: &SynthesisConfig) -> u64;
+    /// The model the solver runs on.
+    fn model(&self) -> &Model;
+    /// Decodes a solver outcome into the pipeline's result.
+    fn finish(
+        self,
+        config: &SynthesisConfig,
+        outcome: SolveOutcome,
+    ) -> Result<Self::Output, SynthesisError>;
+    /// The generated plan, as stored in a cache record.
+    fn plan(output: &Self::Output) -> Value;
+}
+
+impl Pipeline for PreparedSynthesis {
+    type Output = SynthesisResult;
+
+    fn fingerprint(canon: &CanonicalModel, config: &SynthesisConfig) -> u64 {
+        request_fingerprint(canon, config)
+    }
+
+    fn model(&self) -> &Model {
+        &self.dcs.model
+    }
+
+    fn finish(
+        self,
+        config: &SynthesisConfig,
+        outcome: SolveOutcome,
+    ) -> Result<SynthesisResult, SynthesisError> {
+        finish_dcs(self, config, outcome)
+    }
+
+    fn plan(output: &SynthesisResult) -> Value {
+        output.plan.to_value()
+    }
+}
+
+impl Pipeline for PreparedNetwork {
+    type Output = NetworkSynthesis;
+
+    fn fingerprint(canon: &CanonicalModel, config: &SynthesisConfig) -> u64 {
+        network_request_fingerprint(canon, config)
+    }
+
+    fn model(&self) -> &Model {
+        &self.net.model
+    }
+
+    fn finish(
+        self,
+        config: &SynthesisConfig,
+        outcome: SolveOutcome,
+    ) -> Result<NetworkSynthesis, SynthesisError> {
+        finish_network(self, config, outcome)
+    }
+
+    fn plan(output: &NetworkSynthesis) -> Value {
+        output.plan.to_value()
+    }
+}
+
+/// What a cached run reports beyond the result itself.
+#[derive(Debug)]
+pub struct CachedRun<R> {
+    /// The synthesis result (bit-identical whether hit or miss).
+    pub result: R,
+    /// Whether the solver phase was skipped.
+    pub hit: bool,
+    /// Hex request fingerprint (cache key).
+    pub fingerprint: String,
+    /// Wall time this run spent in the solver (≈0 on a hit).
+    pub solve_wall: Duration,
+    /// Solver seconds the original run spent — what the hit saved.
+    pub saved_wall_s: f64,
+}
+
+impl<R> CachedRun<R> {
+    /// Maps the result, keeping the cache accounting.
+    pub fn map<S>(self, f: impl FnOnce(R) -> S) -> CachedRun<S> {
+        CachedRun {
+            result: f(self.result),
+            hit: self.hit,
+            fingerprint: self.fingerprint,
+            solve_wall: self.solve_wall,
+            saved_wall_s: self.saved_wall_s,
+        }
+    }
+}
+
+/// A cached dense synthesis run.
+pub type CachedSynthesis = CachedRun<SynthesisResult>;
+/// A cached network synthesis run.
+pub type CachedNetworkSynthesis = CachedRun<NetworkSynthesis>;
+
+/// A request that has been prepared and fingerprinted but not yet solved.
+/// Lets callers (e.g. the batch service) learn the cache key *before*
+/// committing to a solve, so identical in-flight requests can be
 /// coalesced without preparing twice.
 #[derive(Debug)]
-pub struct PreparedRequest {
-    prepared: tce_core::PreparedSynthesis,
+pub struct CacheRequest<P> {
+    prepared: P,
     canon: CanonicalModel,
     /// Hex request fingerprint (the cache key).
     pub fingerprint: String,
 }
 
-/// Prepares a request: tiling, placement enumeration, model build, and
-/// canonical fingerprinting — everything except the solve.
+/// A prepared dense request.
+pub type PreparedRequest = CacheRequest<PreparedSynthesis>;
+/// A prepared network request.
+pub type PreparedNetworkRequest = CacheRequest<PreparedNetwork>;
+
+fn fingerprinted<P: Pipeline>(prepared: P, config: &SynthesisConfig) -> CacheRequest<P> {
+    let canon = canonicalize(prepared.model());
+    let fingerprint = fingerprint_hex(P::fingerprint(&canon, config));
+    CacheRequest {
+        prepared,
+        canon,
+        fingerprint,
+    }
+}
+
+/// Prepares a dense request: tiling, placement enumeration, model build,
+/// and canonical fingerprinting — everything except the solve.
 pub fn prepare_request(
     program: &tce_ir::Program,
     config: &SynthesisConfig,
 ) -> Result<PreparedRequest, SynthesisError> {
-    let prepared = prepare_dcs(program, config)?;
-    let canon = canonicalize(&prepared.dcs.model);
-    let fingerprint = fingerprint_hex(request_fingerprint(&canon, config));
-    Ok(PreparedRequest {
-        prepared,
-        canon,
-        fingerprint,
-    })
+    Ok(fingerprinted(prepare_dcs(program, config)?, config))
+}
+
+/// Lowers and fingerprints a network request without solving it.
+pub fn prepare_network_request(
+    dag: &ContractionDag,
+    config: &SynthesisConfig,
+) -> Result<PreparedNetworkRequest, SynthesisError> {
+    Ok(fingerprinted(prepare_network(dag, config)?, config))
 }
 
 /// Rebuilds a [`SolveOutcome`] from a stored record, validating the point
@@ -192,25 +302,65 @@ pub fn synthesize_dcs_cached(
     run_prepared(prepare_request(program, config)?, config, cache)
 }
 
-/// Runs a prepared request through the cache (hit → replay, miss → solve
-/// and populate).
+/// Network synthesis through the cache: identical requests solve once.
+pub fn synthesize_network_cached(
+    dag: &ContractionDag,
+    config: &SynthesisConfig,
+    cache: &SynthesisCache,
+) -> Result<CachedNetworkSynthesis, SynthesisError> {
+    run_network_prepared(prepare_network_request(dag, config)?, config, cache)
+}
+
+/// Runs a prepared dense request through the cache (hit → replay, miss →
+/// solve and populate).
 pub fn run_prepared(
     request: PreparedRequest,
     config: &SynthesisConfig,
     cache: &SynthesisCache,
 ) -> Result<CachedSynthesis, SynthesisError> {
-    let PreparedRequest {
+    run(request, config, cache)
+}
+
+/// Runs a prepared network request through the cache, under the same
+/// protocol as [`run_prepared`].
+pub fn run_network_prepared(
+    request: PreparedNetworkRequest,
+    config: &SynthesisConfig,
+    cache: &SynthesisCache,
+) -> Result<CachedNetworkSynthesis, SynthesisError> {
+    run(request, config, cache)
+}
+
+/// Fails with [`SynthesisError::Canceled`] once the config's cancel token
+/// has tripped.
+fn check_canceled(config: &SynthesisConfig) -> Result<(), SynthesisError> {
+    match &config.cancel {
+        Some(token) if token.is_canceled() => Err(SynthesisError::Canceled {
+            deadline_exceeded: token.deadline_expired(),
+        }),
+        _ => Ok(()),
+    }
+}
+
+/// The one cached-run body: on a hit, replay the stored outcome (validated
+/// against the request's own model); on a miss, solve and populate.
+fn run<P: Pipeline>(
+    request: CacheRequest<P>,
+    config: &SynthesisConfig,
+    cache: &SynthesisCache,
+) -> Result<CachedRun<P::Output>, SynthesisError> {
+    let CacheRequest {
         prepared,
         canon,
         fingerprint,
     } = request;
 
     if let Some(rec) = cache.get(&fingerprint) {
-        match replay_outcome(&rec, &canon, &prepared.dcs.model) {
+        match replay_outcome(&rec, &canon, prepared.model()) {
             Some(outcome) => {
-                let result = finish_dcs(prepared, config, outcome)?;
+                let result = prepared.finish(config, outcome)?;
                 cache.note_hit(rec.solve_wall_s);
-                return Ok(CachedSynthesis {
+                return Ok(CachedRun {
                     result,
                     hit: true,
                     fingerprint,
@@ -225,35 +375,23 @@ pub fn run_prepared(
     }
 
     // a job whose token already tripped must not start an expensive solve
-    if let Some(token) = &config.cancel {
-        if token.is_canceled() {
-            return Err(SynthesisError::Canceled {
-                deadline_exceeded: token.deadline_expired(),
-            });
-        }
-    }
+    check_canceled(config)?;
 
     let solve_started = Instant::now();
-    let outcome = tce_solver::solve(&prepared.dcs.model, &config.solve_options());
+    let outcome = tce_solver::solve(prepared.model(), &config.solve_options());
     let solve_wall = solve_started.elapsed();
 
     // a solve interrupted by its token is a *partial* search: surface the
     // cancellation and, crucially, cache nothing — a truncated outcome
     // must never be replayed to future (uncanceled) identical requests
-    if let Some(token) = &config.cancel {
-        if token.is_canceled() {
-            return Err(SynthesisError::Canceled {
-                deadline_exceeded: token.deadline_expired(),
-            });
-        }
-    }
+    check_canceled(config)?;
 
     let canonical_point = canon.to_canonical(&outcome.solution.point);
     let solution = outcome.solution.clone();
     let report = outcome.report.clone();
-    let result = finish_dcs(prepared, config, outcome)?;
+    let result = prepared.finish(config, outcome)?;
 
-    // only feasible outcomes reach this point (finish_dcs errors otherwise)
+    // only feasible outcomes reach this point (finishing errors otherwise)
     let rec = CacheRecord {
         schema: RECORD_SCHEMA.to_string(),
         canon_version: CANON_VERSION.to_string(),
@@ -265,144 +403,12 @@ pub fn run_prepared(
         iterations: solution.iterations,
         report,
         solve_wall_s: solve_wall.as_secs_f64(),
-        plan: serde::Serialize::to_value(&result.plan),
+        plan: P::plan(&result),
     };
     // a failed disk write degrades the cache, not the synthesis
     let _ = cache.put(&fingerprint, rec);
 
-    Ok(CachedSynthesis {
-        result,
-        hit: false,
-        fingerprint,
-        solve_wall,
-        saved_wall_s: 0.0,
-    })
-}
-
-/// What a cached network synthesis run reports beyond the result itself.
-#[derive(Debug)]
-pub struct CachedNetworkSynthesis {
-    /// The synthesis result (bit-identical whether hit or miss).
-    pub result: NetworkSynthesis,
-    /// Whether the solver phase was skipped.
-    pub hit: bool,
-    /// Hex request fingerprint (cache key).
-    pub fingerprint: String,
-    /// Wall time this run spent in the solver (≈0 on a hit).
-    pub solve_wall: Duration,
-    /// Solver seconds the original run spent — what the hit saved.
-    pub saved_wall_s: f64,
-}
-
-/// A network request that has been lowered and fingerprinted but not yet
-/// solved — the network analog of [`PreparedRequest`].
-#[derive(Debug)]
-pub struct PreparedNetworkRequest {
-    prepared: PreparedNetwork,
-    canon: CanonicalModel,
-    /// Hex request fingerprint (the cache key).
-    pub fingerprint: String,
-}
-
-/// Lowers and fingerprints a network request without solving it.
-pub fn prepare_network_request(
-    dag: &ContractionDag,
-    config: &SynthesisConfig,
-) -> Result<PreparedNetworkRequest, SynthesisError> {
-    let prepared = prepare_network(dag, config)?;
-    let canon = canonicalize(&prepared.net.model);
-    let fingerprint = fingerprint_hex(network_request_fingerprint(&canon, config));
-    Ok(PreparedNetworkRequest {
-        prepared,
-        canon,
-        fingerprint,
-    })
-}
-
-/// Network synthesis through the cache: identical requests solve once.
-pub fn synthesize_network_cached(
-    dag: &ContractionDag,
-    config: &SynthesisConfig,
-    cache: &SynthesisCache,
-) -> Result<CachedNetworkSynthesis, SynthesisError> {
-    run_network_prepared(prepare_network_request(dag, config)?, config, cache)
-}
-
-/// Runs a prepared network request through the cache (hit → replay,
-/// miss → solve and populate). The same hit protocol as [`run_prepared`]:
-/// stored points are revalidated against the request's own model, and
-/// canceled solves are surfaced without being cached.
-pub fn run_network_prepared(
-    request: PreparedNetworkRequest,
-    config: &SynthesisConfig,
-    cache: &SynthesisCache,
-) -> Result<CachedNetworkSynthesis, SynthesisError> {
-    let PreparedNetworkRequest {
-        prepared,
-        canon,
-        fingerprint,
-    } = request;
-
-    if let Some(rec) = cache.get(&fingerprint) {
-        match replay_outcome(&rec, &canon, &prepared.net.model) {
-            Some(outcome) => {
-                let result = finish_network(prepared, config, outcome)?;
-                cache.note_hit(rec.solve_wall_s);
-                return Ok(CachedNetworkSynthesis {
-                    result,
-                    hit: true,
-                    fingerprint,
-                    solve_wall: Duration::ZERO,
-                    saved_wall_s: rec.solve_wall_s,
-                });
-            }
-            None => cache.note_reject(),
-        }
-    } else {
-        cache.note_miss();
-    }
-
-    if let Some(token) = &config.cancel {
-        if token.is_canceled() {
-            return Err(SynthesisError::Canceled {
-                deadline_exceeded: token.deadline_expired(),
-            });
-        }
-    }
-
-    let solve_started = Instant::now();
-    let outcome = tce_solver::solve(&prepared.net.model, &config.solve_options());
-    let solve_wall = solve_started.elapsed();
-
-    if let Some(token) = &config.cancel {
-        if token.is_canceled() {
-            return Err(SynthesisError::Canceled {
-                deadline_exceeded: token.deadline_expired(),
-            });
-        }
-    }
-
-    let canonical_point = canon.to_canonical(&outcome.solution.point);
-    let solution = outcome.solution.clone();
-    let report = outcome.report.clone();
-    let result = finish_network(prepared, config, outcome)?;
-
-    let rec = CacheRecord {
-        schema: RECORD_SCHEMA.to_string(),
-        canon_version: CANON_VERSION.to_string(),
-        fingerprint: fingerprint.clone(),
-        canonical_point,
-        objective: solution.objective,
-        feasible: solution.feasible,
-        evals: solution.evals,
-        iterations: solution.iterations,
-        report,
-        solve_wall_s: solve_wall.as_secs_f64(),
-        plan: serde::Serialize::to_value(&result.plan),
-    };
-    let _ = cache.put(&fingerprint, rec);
-
-    Ok(CachedNetworkSynthesis {
+    Ok(CachedRun {
         result,
         hit: false,
         fingerprint,

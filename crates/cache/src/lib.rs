@@ -37,14 +37,11 @@ pub mod store;
 pub use cached::{
     config_digest, network_request_fingerprint, prepare_network_request, prepare_request,
     request_fingerprint, run_network_prepared, run_prepared, synthesize_dcs_cached,
-    synthesize_network_cached, CachedNetworkSynthesis, CachedSynthesis, PreparedNetworkRequest,
-    PreparedRequest,
+    synthesize_network_cached, CacheRequest, CachedNetworkSynthesis, CachedRun, CachedSynthesis,
+    PreparedNetworkRequest, PreparedRequest,
 };
 pub use fsfault::{FsFaultInjector, FsFaultKind, FsFaultPlan};
-pub use map::{
-    map_from_env, CacheMap, CacheMapHandle, MapStats, MutexLruMap, ShardedLruMap, MAP_KIND_ENV,
-    SHARDS_ENV,
-};
+pub use map::{CacheMap, CacheMapHandle, MapStats, MutexLruMap, ShardedLruMap};
 pub use record::{CacheRecord, RECORD_SCHEMA};
 pub use store::{CacheStats, SynthesisCache, CACHE_DIR_ENV, DEFAULT_LRU_CAP, LRU_CAP_ENV};
 

@@ -27,11 +27,6 @@ use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Environment variable selecting the map adapter (`sharded` | `mutex`).
-pub const MAP_KIND_ENV: &str = "TCE_CACHE_MAP";
-/// Environment variable overriding the sharded adapter's shard count.
-pub const SHARDS_ENV: &str = "TCE_CACHE_SHARDS";
-
 /// Aggregated per-shard operation counters, read without locking.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct MapStats {
@@ -289,23 +284,6 @@ impl<M: CacheMap + ?Sized> CacheMapHandle for SharedHandle<'_, M> {
     }
 }
 
-/// Builds the map the environment asks for: [`SHARDS_ENV`] forces a
-/// shard count, [`MAP_KIND_ENV`]`=mutex` selects the baseline adapter,
-/// and the default is [`ShardedLruMap::auto`].
-pub fn map_from_env(cap: usize) -> Box<dyn CacheMap> {
-    let kind = std::env::var(MAP_KIND_ENV).unwrap_or_default();
-    if kind == "mutex" {
-        return Box::new(MutexLruMap::new(cap));
-    }
-    match std::env::var(SHARDS_ENV)
-        .ok()
-        .and_then(|s| s.parse::<usize>().ok())
-    {
-        Some(n) if n > 0 => Box::new(ShardedLruMap::new(cap, n)),
-        _ => Box::new(ShardedLruMap::auto(cap)),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -418,9 +396,7 @@ mod tests {
     }
 
     #[test]
-    fn env_selection_builds_the_right_adapter() {
-        // no env manipulation (tests run concurrently): exercise the
-        // constructors the env path dispatches to
+    fn constructors_build_the_right_adapter() {
         assert_eq!(MutexLruMap::new(8).name(), "mutex_lru");
         assert_eq!(ShardedLruMap::auto(64).name(), "sharded_lru");
         assert_eq!(ShardedLruMap::auto(64).map_stats().shards, 8);

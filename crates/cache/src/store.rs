@@ -13,7 +13,7 @@
 //! `f64` bit pattern.
 
 use crate::fsfault::{self, FsFaultInjector, FsFaultPlan};
-use crate::map::{map_from_env, CacheMap, MapStats, ShardedLruMap};
+use crate::map::{CacheMap, MapStats, ShardedLruMap};
 use crate::record::CacheRecord;
 use std::fs;
 use std::io::{self, ErrorKind};
@@ -206,8 +206,8 @@ fn sweep_orphans(dir: &Path) -> u64 {
 
 /// The synthesis cache: a swappable in-memory map over an optional disk
 /// store. The map adapter defaults to the lock-striped
-/// [`ShardedLruMap`](crate::map::ShardedLruMap); see [`crate::map`] for
-/// the selection environment variables.
+/// [`ShardedLruMap`](crate::map::ShardedLruMap); [`SynthesisCache::with_map`]
+/// swaps in another adapter.
 pub struct SynthesisCache {
     disk: Option<DiskStore>,
     map: Box<dyn CacheMap>,
@@ -264,14 +264,13 @@ impl SynthesisCache {
 
     /// Builds a cache from the environment: disk-backed when
     /// [`CACHE_DIR_ENV`] is set, in-memory otherwise; capacity from
-    /// [`LRU_CAP_ENV`] when it parses; map adapter per
-    /// [`crate::map::MAP_KIND_ENV`] / [`crate::map::SHARDS_ENV`].
+    /// [`LRU_CAP_ENV`] when it parses.
     pub fn from_env() -> Result<Self, String> {
         let cap = std::env::var(LRU_CAP_ENV)
             .ok()
             .and_then(|s| s.parse::<usize>().ok())
             .unwrap_or(DEFAULT_LRU_CAP);
-        let mut cache = SynthesisCache::with_map(map_from_env(cap));
+        let mut cache = SynthesisCache::with_capacity(cap);
         if let Some(dir) = std::env::var_os(CACHE_DIR_ENV) {
             cache.attach_disk(DiskStore::new(PathBuf::from(dir))?);
         }

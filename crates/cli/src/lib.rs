@@ -1151,9 +1151,19 @@ mod tests {
         s.split_whitespace().map(String::from).collect()
     }
 
-    fn write_fixture() -> String {
-        let dir = std::env::temp_dir().join(format!("tce-cli-test-{}", std::process::id()));
+    /// A fresh scratch directory per call: tests run concurrently, and a
+    /// file one test is writing must never be another test's input.
+    fn temp_dir(tag: &str) -> std::path::PathBuf {
+        static NEXT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+        let n = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let dir = std::env::temp_dir().join(format!("tce-cli-{tag}-{}-{n}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    fn write_fixture() -> String {
+        let dir = temp_dir("test");
         let path = dir.join("two_index.tce");
         std::fs::write(
             &path,
@@ -1553,9 +1563,7 @@ mod tests {
         let file = write_fixture();
         let dsl = std::fs::read_to_string(&file).unwrap();
         let program = serde_json::to_string(&dsl).unwrap();
-        let dir = std::env::temp_dir().join(format!("tce-cli-journal-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = temp_dir("journal");
         let jobs_path = dir.join("jobs.json");
         std::fs::write(
             &jobs_path,
@@ -1590,9 +1598,7 @@ mod tests {
         let file = write_fixture();
         let dsl = std::fs::read_to_string(&file).unwrap();
         let program = serde_json::to_string(&dsl).unwrap();
-        let dir = std::env::temp_dir().join(format!("tce-cli-serve-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = temp_dir("serve");
         let jobs_path = dir.join("jobs.json");
         std::fs::write(
             &jobs_path,
@@ -1628,8 +1634,7 @@ mod tests {
 
     #[test]
     fn serve_rejects_bad_jobs_file_as_usage() {
-        let dir = std::env::temp_dir().join(format!("tce-cli-servebad-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = temp_dir("servebad");
         let jobs_path = dir.join("bad.json");
         std::fs::write(&jobs_path, r#"{"schema": "wrong", "jobs": []}"#).unwrap();
         let cli = parse_args(&args(&format!("serve --batch {}", jobs_path.display()))).unwrap();
@@ -1644,8 +1649,7 @@ mod tests {
     // --- contraction networks --------------------------------------------
 
     fn write_network_fixture() -> String {
-        let dir = std::env::temp_dir().join(format!("tce-cli-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = temp_dir("test");
         let path = dir.join("network.tce");
         std::fs::write(
             &path,
@@ -1700,8 +1704,7 @@ mod tests {
 
     #[test]
     fn gen_network_writes_to_a_file_and_check_round_trips() {
-        let dir = std::env::temp_dir().join(format!("tce-cli-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = temp_dir("test");
         let path = dir.join("gen.tce");
         let cli = parse_args(&args(&format!(
             "gen-network --seed 5 -o {}",

@@ -187,10 +187,10 @@ mod tests {
     impl crate::service::JobRunner for PanickingRunner {
         fn run(
             &self,
-            request: tce_cache::PreparedRequest,
+            request: crate::service::JobRequest,
             config: &tce_core::SynthesisConfig,
             cache: &SynthesisCache,
-        ) -> Result<tce_cache::CachedSynthesis, tce_core::SynthesisError> {
+        ) -> Result<crate::service::JobDone, tce_core::SynthesisError> {
             use std::sync::atomic::Ordering;
             if self
                 .panics_left
@@ -199,7 +199,7 @@ mod tests {
             {
                 panic!("injected solver panic");
             }
-            tce_cache::run_prepared(request, config, cache)
+            request.run(config, cache)
         }
     }
 
@@ -259,6 +259,101 @@ mod tests {
             .jobs
             .iter()
             .any(|j| j.error_kind.as_deref() == Some("panic")));
+    }
+
+    fn net_job(name: &str) -> JobSpec {
+        JobSpec {
+            name: name.to_string(),
+            program: tce_ir::to_network_dsl(&tce_ir::network::small_network()),
+            ..job("", 64, 48)
+        }
+    }
+
+    /// Runs `jobs` on four workers whose first `panics` runner calls
+    /// panic. Each panic must fail exactly its own job with a structured
+    /// `panic` report, and every fingerprint must still solve exactly
+    /// once through a promoted (or untouched) leader.
+    fn assert_panics_are_contained(jobs: &[JobSpec], panics: u32) {
+        let cache = SynthesisCache::in_memory();
+        let runner = PanickingRunner {
+            panics_left: std::sync::atomic::AtomicU32::new(panics),
+        };
+        let opts = BatchOptions {
+            workers: 4,
+            ..BatchOptions::default()
+        };
+        let report =
+            crate::service::run_batch_runner(jobs, &opts, &cache, &runner).expect("batch runs");
+
+        assert_eq!(report.summary.failed, panics as u64, "{:?}", report.jobs);
+        assert_eq!(report.summary.ok, (jobs.len() - panics as usize) as u64);
+        for j in report.jobs.iter().filter(|j| !j.ok) {
+            assert_eq!(j.error_kind.as_deref(), Some("panic"), "{j:?}");
+            assert!(j.error.as_deref().unwrap_or("").contains("panicked"));
+        }
+        let fingerprints: std::collections::HashSet<_> =
+            report.jobs.iter().map(|j| &j.fingerprint).collect();
+        assert_eq!(cache.stats().misses, fingerprints.len() as u64);
+    }
+
+    /// Runs `jobs` against a runner that always panics, with a retry
+    /// budget of one: nobody hangs, nobody succeeds, and every
+    /// fingerprint's first leader reports its own panic.
+    fn assert_retry_budget_is_exhausted(jobs: &[JobSpec]) {
+        let cache = SynthesisCache::in_memory();
+        let runner = PanickingRunner {
+            panics_left: std::sync::atomic::AtomicU32::new(u32::MAX),
+        };
+        let opts = BatchOptions {
+            workers: 4,
+            retry_budget: 1,
+            ..BatchOptions::default()
+        };
+        let report =
+            crate::service::run_batch_runner(jobs, &opts, &cache, &runner).expect("batch runs");
+        assert_eq!(report.summary.ok, 0);
+        assert_eq!(report.summary.failed, jobs.len() as u64);
+        for j in &report.jobs {
+            let kind = j.error_kind.as_deref().unwrap_or("");
+            assert!(
+                kind == "panic" || kind == "leader_failed",
+                "unexpected kind {kind:?} in {j:?}"
+            );
+        }
+        for spec in jobs {
+            assert!(jobs.iter().zip(&report.jobs).any(
+                |(s, j)| s.program == spec.program && j.error_kind.as_deref() == Some("panic")
+            ));
+        }
+    }
+
+    fn mixed_jobs(n: usize) -> Vec<JobSpec> {
+        (0..n)
+            .flat_map(|i| [job(&format!("d{i}"), 64, 48), net_job(&format!("n{i}"))])
+            .collect()
+    }
+
+    #[test]
+    fn panicking_network_leader_fails_structurally_and_promotes_a_follower() {
+        let jobs: Vec<JobSpec> = (0..6).map(|i| net_job(&format!("n{i}"))).collect();
+        assert_panics_are_contained(&jobs, 1);
+    }
+
+    #[test]
+    fn panicking_leaders_in_a_mixed_batch_promote_a_follower_per_fingerprint() {
+        // the two panics land on whichever fingerprint's calls come first
+        assert_panics_are_contained(&mixed_jobs(3), 2);
+    }
+
+    #[test]
+    fn always_panicking_network_leader_exhausts_the_retry_budget() {
+        let jobs: Vec<JobSpec> = (0..4).map(|i| net_job(&format!("m{i}"))).collect();
+        assert_retry_budget_is_exhausted(&jobs);
+    }
+
+    #[test]
+    fn always_panicking_leaders_in_a_mixed_batch_exhaust_the_retry_budget() {
+        assert_retry_budget_is_exhausted(&mixed_jobs(2));
     }
 
     #[test]

@@ -1255,14 +1255,14 @@ mod tests {
     impl JobRunner for GatedRunner {
         fn run(
             &self,
-            request: tce_cache::PreparedRequest,
+            request: crate::service::JobRequest,
             config: &tce_core::SynthesisConfig,
             cache: &SynthesisCache,
-        ) -> Result<tce_cache::CachedSynthesis, tce_core::SynthesisError> {
+        ) -> Result<crate::service::JobDone, tce_core::SynthesisError> {
             while !self.open.load(Ordering::Relaxed) {
                 std::thread::sleep(Duration::from_millis(5));
             }
-            tce_cache::run_prepared(request, config, cache)
+            request.run(config, cache)
         }
     }
 
@@ -2056,12 +2056,12 @@ mod tests {
         impl JobRunner for CountingRunner {
             fn run(
                 &self,
-                request: tce_cache::PreparedRequest,
+                request: crate::service::JobRequest,
                 config: &tce_core::SynthesisConfig,
                 cache: &SynthesisCache,
-            ) -> Result<tce_cache::CachedSynthesis, tce_core::SynthesisError> {
+            ) -> Result<crate::service::JobDone, tce_core::SynthesisError> {
                 self.0.fetch_add(1, Ordering::Relaxed);
-                tce_cache::run_prepared(request, config, cache)
+                request.run(config, cache)
             }
         }
 

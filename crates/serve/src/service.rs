@@ -7,6 +7,12 @@
 //! still solve once: the first becomes the leader and solves; the others
 //! park on the flight, then replay the leader's outcome from the cache.
 //!
+//! Dense programs and contraction networks share this engine end to end:
+//! [`process_job`] parses either kind, prepares it into a [`JobRequest`],
+//! and drives it through the one supervision loop and the one
+//! [`JobRunner`] seam. Only parsing, preparation and the plan figures of
+//! the report differ by kind.
+//!
 //! Three robustness layers wrap that core (see `DESIGN.md` §14):
 //!
 //! * **supervision** — every solve runs under `catch_unwind` holding an
@@ -33,10 +39,12 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use tce_cache::{
-    prepare_network_request, prepare_request, run_network_prepared, run_prepared,
-    CachedNetworkSynthesis, CachedSynthesis, FsFaultPlan, PreparedRequest, SynthesisCache,
+    prepare_network_request, prepare_request, run_network_prepared, run_prepared, CachedRun,
+    FsFaultPlan, PreparedNetworkRequest, PreparedRequest, SynthesisCache,
 };
 use tce_core::{SynthesisConfig, SynthesisError};
+use tce_ir::network::ContractionDag;
+use tce_ir::Program;
 use tce_solver::CancelToken;
 
 /// How many times followers may promote a new leader for one fingerprint
@@ -92,15 +100,92 @@ impl Default for BatchOptions {
     }
 }
 
+/// A job's parsed program: a dense contraction program, or a sparse
+/// contraction network (DSL header `network`). Both run through the same
+/// supervision loop and the same cached pipeline.
+enum ParsedJob {
+    Dense(Program),
+    Network(ContractionDag),
+}
+
+impl ParsedJob {
+    fn parse(spec: &JobSpec) -> Result<ParsedJob, String> {
+        if tce_ir::is_network_src(&spec.program) {
+            tce_ir::parse_network(&spec.program)
+                .map(ParsedJob::Network)
+                .map_err(|e| format!("invalid network: {e}"))
+        } else {
+            spec.parse_program().map(ParsedJob::Dense)
+        }
+    }
+
+    /// Builds and fingerprints the model. Cheap and deterministic, so a
+    /// promoted follower simply redoes it.
+    fn prepare(&self, config: &SynthesisConfig) -> Result<JobRequest, SynthesisError> {
+        match self {
+            ParsedJob::Dense(p) => prepare_request(p, config).map(JobRequest::Dense),
+            ParsedJob::Network(d) => prepare_network_request(d, config).map(JobRequest::Network),
+        }
+    }
+}
+
+/// A prepared, fingerprinted job, waiting for its solve or replay.
+pub(crate) enum JobRequest {
+    Dense(PreparedRequest),
+    Network(PreparedNetworkRequest),
+}
+
+/// The plan figures a job report carries.
+pub(crate) struct PlanFigures {
+    io_bytes: f64,
+    memory_bytes: f64,
+    predicted_s: f64,
+}
+
+/// A finished job: the cache accounting plus the plan figures.
+pub(crate) type JobDone = CachedRun<PlanFigures>;
+
+impl JobRequest {
+    fn fingerprint(&self) -> &str {
+        match self {
+            JobRequest::Dense(r) => &r.fingerprint,
+            JobRequest::Network(r) => &r.fingerprint,
+        }
+    }
+
+    /// Runs the request through the synthesis cache (hit → replay, miss →
+    /// solve and populate).
+    pub(crate) fn run(
+        self,
+        config: &SynthesisConfig,
+        cache: &SynthesisCache,
+    ) -> Result<JobDone, SynthesisError> {
+        Ok(match self {
+            JobRequest::Dense(r) => run_prepared(r, config, cache)?.map(|r| PlanFigures {
+                io_bytes: r.io_bytes,
+                memory_bytes: r.memory_bytes,
+                predicted_s: r.predicted.total_s(),
+            }),
+            JobRequest::Network(r) => {
+                run_network_prepared(r, config, cache)?.map(|r| PlanFigures {
+                    io_bytes: r.io_bytes,
+                    memory_bytes: r.memory_bytes,
+                    predicted_s: r.predicted_s,
+                })
+            }
+        })
+    }
+}
+
 /// The solve step behind a leader, seam-isolated so supervision tests can
 /// substitute a misbehaving solver without touching the real pipeline.
 pub(crate) trait JobRunner: Sync {
     fn run(
         &self,
-        request: PreparedRequest,
+        request: JobRequest,
         config: &SynthesisConfig,
         cache: &SynthesisCache,
-    ) -> Result<CachedSynthesis, SynthesisError>;
+    ) -> Result<JobDone, SynthesisError>;
 }
 
 /// The production runner: straight through the synthesis cache.
@@ -109,11 +194,11 @@ pub(crate) struct CacheRunner;
 impl JobRunner for CacheRunner {
     fn run(
         &self,
-        request: PreparedRequest,
+        request: JobRequest,
         config: &SynthesisConfig,
         cache: &SynthesisCache,
-    ) -> Result<CachedSynthesis, SynthesisError> {
-        run_prepared(request, config, cache)
+    ) -> Result<JobDone, SynthesisError> {
+        request.run(config, cache)
     }
 }
 
@@ -225,12 +310,12 @@ fn kind_of(err: &SynthesisError) -> &'static str {
     }
 }
 
-/// Runs one job to a report. `queue_wait_s` is measured by the caller.
-/// Shared by the batch engine and the daemon's worker loop. `cancel`,
-/// when given, is the job's admission-time cancel handle: an explicit
-/// cancel detaches this job from its flight (tearing the solve down only
-/// when it held the last interest) and yields the deterministic
-/// [`JobReport::canceled`].
+/// Runs one job, dense or network, to a report. `queue_wait_s` is
+/// measured by the caller. Shared by the batch engine and the daemon's
+/// worker loop. `cancel`, when given, is the job's admission-time cancel
+/// handle: an explicit cancel detaches this job from its flight (tearing
+/// the solve down only when it held the last interest) and yields the
+/// deterministic [`JobReport::canceled`].
 pub(crate) fn process_job(
     spec: &JobSpec,
     cache: &SynthesisCache,
@@ -240,19 +325,25 @@ pub(crate) fn process_job(
     runner: &dyn JobRunner,
     cancel: Option<&JobCancel>,
 ) -> JobReport {
-    // contraction-network jobs (DSL header `network`) run through the
-    // network pipeline under the same supervision/caching machinery
-    if tce_ir::is_network_src(&spec.program) {
-        return process_network_job(spec, cache, flights, queue_wait_s, opts, cancel);
-    }
     let started = Instant::now();
-    let program = match spec.parse_program() {
-        Ok(p) => p,
-        Err(e) => return JobReport::failed(&spec.name, "", e, queue_wait_s).kind("invalid_job"),
+    let failed = |fingerprint: &str, error: String, kind: &str| {
+        JobReport::failed(&spec.name, fingerprint, error, queue_wait_s).kind(kind)
+    };
+    // stamps a report with how this job ended up in it
+    let finish = |report: JobReport, joined: bool| JobReport {
+        joined,
+        total_s: started.elapsed().as_secs_f64(),
+        ..report
+    };
+    let canceled = || cancel.is_some_and(|c| c.is_canceled());
+
+    let job = match ParsedJob::parse(spec) {
+        Ok(j) => j,
+        Err(e) => return failed("", e, "invalid_job"),
     };
     let config = match spec.config() {
         Ok(c) => c,
-        Err(e) => return JobReport::failed(&spec.name, "", e, queue_wait_s).kind("invalid_job"),
+        Err(e) => return failed("", e, "invalid_job"),
     };
     // the job's deadline clock starts when a worker picks it up
     let timeout = spec
@@ -268,40 +359,31 @@ pub(crate) fn process_job(
         (None, None) => None,
     };
 
-    let mut request = match prepare_request(&program, &config) {
+    let mut request = match job.prepare(&config) {
         Ok(r) => Some(r),
-        Err(e) => {
-            return JobReport::failed(&spec.name, "", e.to_string(), queue_wait_s)
-                .kind("invalid_job")
-        }
+        Err(e) => return failed("", e.to_string(), "invalid_job"),
     };
-    let fingerprint = request.as_ref().expect("just prepared").fingerprint.clone();
+    let fingerprint = request
+        .as_ref()
+        .expect("just prepared")
+        .fingerprint()
+        .to_string();
+    // a promoted follower's original request was consumed by an earlier
+    // attempt; preparation is cheap and deterministic, so just redo it
+    let mut take_request = || request.take().map_or_else(|| job.prepare(&config), Ok);
 
     // the supervision loop: lead, or park and — if the leader fails —
     // race to be promoted, bounded by the retry budget
     let mut leader_failures = 0u32;
-    let mut joined = false;
-    loop {
+    let (run, joined, stage) = loop {
         match flights.begin(&fingerprint) {
             Role::Leader(guard) => {
-                let req = match request.take() {
-                    Some(r) => r,
-                    // a promoted follower's original request was consumed
-                    // by an earlier attempt; preparation is cheap and
-                    // deterministic, so just redo it
-                    None => match prepare_request(&program, &config) {
-                        Ok(r) => r,
-                        Err(e) => {
-                            guard.fail(e.to_string());
-                            return JobReport::failed(
-                                &spec.name,
-                                &fingerprint,
-                                e.to_string(),
-                                queue_wait_s,
-                            )
-                            .kind("invalid_job");
-                        }
-                    },
+                let req = match take_request() {
+                    Ok(r) => r,
+                    Err(e) => {
+                        guard.fail(e.to_string());
+                        return failed(&fingerprint, e.to_string(), "invalid_job");
+                    }
                 };
                 // a fresh solve token per leadership attempt: the flight
                 // trips it when the last interested job cancels, and the
@@ -317,7 +399,7 @@ pub(crate) fn process_job(
                 if let Some(c) = cancel {
                     c.attach(guard.flight());
                 }
-                let config = config.clone().cancel_token(solve_token.clone());
+                let config = config.clone().cancel_token(solve_token);
                 // the guard is moved into the closure: if the solve
                 // panics, unwinding drops it and the flight settles as
                 // failed — followers wake either way
@@ -329,127 +411,47 @@ pub(crate) fn process_job(
                     }
                     outcome
                 }));
-                // the client canceled: whatever the solve did (completed
-                // into the cache for remaining followers, or aborted as
-                // uncacheable), *this* job reports the canonical canceled
-                // outcome
-                if cancel.is_some_and(|c| c.is_canceled()) {
-                    let mut r = JobReport::canceled(&spec.name, "", queue_wait_s);
-                    r.joined = joined;
-                    r.total_s = started.elapsed().as_secs_f64();
-                    return r;
-                }
-                return match run {
-                    Ok(Ok(done)) => ok_report(spec, &done, joined, queue_wait_s, started),
-                    Ok(Err(e)) => {
-                        let mut r = JobReport::failed(
-                            &spec.name,
-                            &fingerprint,
-                            e.to_string(),
-                            queue_wait_s,
-                        )
-                        .kind(kind_of(&e));
-                        r.joined = joined;
-                        r.total_s = started.elapsed().as_secs_f64();
-                        r
-                    }
-                    Err(_) => {
-                        let mut r = JobReport::failed(
-                            &spec.name,
-                            &fingerprint,
-                            "worker panicked during solve".to_string(),
-                            queue_wait_s,
-                        )
-                        .kind("panic");
-                        r.joined = joined;
-                        r.total_s = started.elapsed().as_secs_f64();
-                        r
-                    }
-                };
+                break (run, false, "solve");
             }
             Role::Follower(flight) => {
                 if let Some(c) = cancel {
                     c.attach(&flight);
                 }
                 match flight.wait_with(wait_token.as_ref()) {
+                    // our own cancel or deadline fired while parked
+                    None if canceled() => {
+                        return finish(JobReport::canceled(&spec.name, "", queue_wait_s), false)
+                    }
                     None => {
-                        // our own cancel or deadline fired while parked
-                        if cancel.is_some_and(|c| c.is_canceled()) {
-                            let mut r = JobReport::canceled(&spec.name, "", queue_wait_s);
-                            r.total_s = started.elapsed().as_secs_f64();
-                            return r;
-                        }
-                        return JobReport::failed(
-                            &spec.name,
+                        return failed(
                             &fingerprint,
                             "job deadline exceeded".to_string(),
-                            queue_wait_s,
+                            "deadline_exceeded",
                         )
-                        .kind("deadline_exceeded");
                     }
                     Some(FlightEnd::Success) => {
-                        joined = true;
-                        let req = match request.take() {
-                            Some(r) => r,
-                            None => match prepare_request(&program, &config) {
-                                Ok(r) => r,
-                                Err(e) => {
-                                    return JobReport::failed(
-                                        &spec.name,
-                                        &fingerprint,
-                                        e.to_string(),
-                                        queue_wait_s,
-                                    )
-                                    .kind("invalid_job")
-                                }
-                            },
+                        let req = match take_request() {
+                            Ok(r) => r,
+                            Err(e) => return failed(&fingerprint, e.to_string(), "invalid_job"),
                         };
                         // replay the leader's outcome from the cache; panics
                         // here are as fatal to the pool as leader panics, so
                         // they get the same containment
                         let run =
                             catch_unwind(AssertUnwindSafe(|| runner.run(req, &config, cache)));
-                        return match run {
-                            Ok(Ok(done)) => ok_report(spec, &done, joined, queue_wait_s, started),
-                            Ok(Err(e)) => {
-                                let mut r = JobReport::failed(
-                                    &spec.name,
-                                    &fingerprint,
-                                    e.to_string(),
-                                    queue_wait_s,
-                                )
-                                .kind(kind_of(&e));
-                                r.joined = joined;
-                                r.total_s = started.elapsed().as_secs_f64();
-                                r
-                            }
-                            Err(_) => {
-                                let mut r = JobReport::failed(
-                                    &spec.name,
-                                    &fingerprint,
-                                    "worker panicked during replay".to_string(),
-                                    queue_wait_s,
-                                )
-                                .kind("panic");
-                                r.joined = joined;
-                                r.total_s = started.elapsed().as_secs_f64();
-                                r
-                            }
-                        };
+                        break (run, true, "replay");
                     }
                     Some(FlightEnd::Failed(cause)) => {
                         leader_failures += 1;
                         if leader_failures > opts.retry_budget {
-                            return JobReport::failed(
-                                &spec.name,
+                            return failed(
                                 &fingerprint,
                                 format!(
                                     "leader failed {leader_failures} time(s), retry budget \
                                  exhausted; last cause: {cause}"
                                 ),
-                                queue_wait_s,
-                            )
-                            .kind("leader_failed");
+                                "leader_failed",
+                            );
                         }
                         // loop: race to re-begin — first one in is promoted
                         // to leader and retries, the rest park on its flight
@@ -457,268 +459,43 @@ pub(crate) fn process_job(
                 }
             }
         }
-    }
+    };
+
+    // the client canceled: whatever the solve did (completed into the
+    // cache for remaining followers, or aborted as uncacheable), *this*
+    // job reports the canonical canceled outcome
+    let report = if canceled() {
+        JobReport::canceled(&spec.name, "", queue_wait_s)
+    } else {
+        match run {
+            Ok(Ok(done)) => ok_report(spec, done, queue_wait_s),
+            Ok(Err(e)) => failed(&fingerprint, e.to_string(), kind_of(&e)),
+            Err(_) => failed(
+                &fingerprint,
+                format!("worker panicked during {stage}"),
+                "panic",
+            ),
+        }
+    };
+    finish(report, joined)
 }
 
-/// Runs one contraction-network job to a report: the same supervision
-/// loop as [`process_job`] (single-flight on the canonical fingerprint,
-/// guarded `catch_unwind`, deadline token, bounded leader promotion),
-/// over the network prepare/solve seam instead of the dense one.
-pub(crate) fn process_network_job(
-    spec: &JobSpec,
-    cache: &SynthesisCache,
-    flights: &SingleFlight,
-    queue_wait_s: f64,
-    opts: &BatchOptions,
-    cancel: Option<&JobCancel>,
-) -> JobReport {
-    let started = Instant::now();
-    let dag = match tce_ir::parse_network(&spec.program) {
-        Ok(d) => d,
-        Err(e) => {
-            return JobReport::failed(
-                &spec.name,
-                "",
-                format!("invalid network: {e}"),
-                queue_wait_s,
-            )
-            .kind("invalid_job")
-        }
-    };
-    let config = match spec.config() {
-        Ok(c) => c,
-        Err(e) => return JobReport::failed(&spec.name, "", e, queue_wait_s).kind("invalid_job"),
-    };
-    let timeout = spec
-        .timeout_ms
-        .map(Duration::from_millis)
-        .or(opts.job_timeout);
-    let deadline = timeout.map(|t| started + t);
-    let wait_token = match (cancel, deadline) {
-        (Some(c), Some(d)) => Some(c.token().and_deadline(d)),
-        (Some(c), None) => Some(c.token().clone()),
-        (None, Some(d)) => Some(CancelToken::with_deadline(d)),
-        (None, None) => None,
-    };
-
-    let mut request = match prepare_network_request(&dag, &config) {
-        Ok(r) => Some(r),
-        Err(e) => {
-            return JobReport::failed(&spec.name, "", e.to_string(), queue_wait_s)
-                .kind("invalid_job")
-        }
-    };
-    let fingerprint = request.as_ref().expect("just prepared").fingerprint.clone();
-
-    let mut leader_failures = 0u32;
-    let mut joined = false;
-    loop {
-        match flights.begin(&fingerprint) {
-            Role::Leader(guard) => {
-                let req = match request.take() {
-                    Some(r) => r,
-                    None => match prepare_network_request(&dag, &config) {
-                        Ok(r) => r,
-                        Err(e) => {
-                            guard.fail(e.to_string());
-                            return JobReport::failed(
-                                &spec.name,
-                                &fingerprint,
-                                e.to_string(),
-                                queue_wait_s,
-                            )
-                            .kind("invalid_job");
-                        }
-                    },
-                };
-                let solve_token = match deadline {
-                    Some(d) => CancelToken::with_deadline(d),
-                    None => CancelToken::new(),
-                };
-                guard.flight().lead_with(solve_token.clone());
-                if let Some(c) = cancel {
-                    c.attach(guard.flight());
-                }
-                let config = config.clone().cancel_token(solve_token.clone());
-                let run = catch_unwind(AssertUnwindSafe(|| {
-                    let outcome = run_network_prepared(req, &config, cache);
-                    match &outcome {
-                        Ok(_) => guard.success(),
-                        Err(e) => guard.fail(e.to_string()),
-                    }
-                    outcome
-                }));
-                if cancel.is_some_and(|c| c.is_canceled()) {
-                    let mut r = JobReport::canceled(&spec.name, "", queue_wait_s);
-                    r.joined = joined;
-                    r.total_s = started.elapsed().as_secs_f64();
-                    return r;
-                }
-                return match run {
-                    Ok(Ok(done)) => network_ok_report(spec, &done, joined, queue_wait_s, started),
-                    Ok(Err(e)) => {
-                        let mut r = JobReport::failed(
-                            &spec.name,
-                            &fingerprint,
-                            e.to_string(),
-                            queue_wait_s,
-                        )
-                        .kind(kind_of(&e));
-                        r.joined = joined;
-                        r.total_s = started.elapsed().as_secs_f64();
-                        r
-                    }
-                    Err(_) => {
-                        let mut r = JobReport::failed(
-                            &spec.name,
-                            &fingerprint,
-                            "worker panicked during solve".to_string(),
-                            queue_wait_s,
-                        )
-                        .kind("panic");
-                        r.joined = joined;
-                        r.total_s = started.elapsed().as_secs_f64();
-                        r
-                    }
-                };
-            }
-            Role::Follower(flight) => {
-                if let Some(c) = cancel {
-                    c.attach(&flight);
-                }
-                match flight.wait_with(wait_token.as_ref()) {
-                    None => {
-                        if cancel.is_some_and(|c| c.is_canceled()) {
-                            let mut r = JobReport::canceled(&spec.name, "", queue_wait_s);
-                            r.total_s = started.elapsed().as_secs_f64();
-                            return r;
-                        }
-                        return JobReport::failed(
-                            &spec.name,
-                            &fingerprint,
-                            "job deadline exceeded".to_string(),
-                            queue_wait_s,
-                        )
-                        .kind("deadline_exceeded");
-                    }
-                    Some(FlightEnd::Success) => {
-                        joined = true;
-                        let req = match request.take() {
-                            Some(r) => r,
-                            None => match prepare_network_request(&dag, &config) {
-                                Ok(r) => r,
-                                Err(e) => {
-                                    return JobReport::failed(
-                                        &spec.name,
-                                        &fingerprint,
-                                        e.to_string(),
-                                        queue_wait_s,
-                                    )
-                                    .kind("invalid_job")
-                                }
-                            },
-                        };
-                        let run = catch_unwind(AssertUnwindSafe(|| {
-                            run_network_prepared(req, &config, cache)
-                        }));
-                        return match run {
-                            Ok(Ok(done)) => {
-                                network_ok_report(spec, &done, joined, queue_wait_s, started)
-                            }
-                            Ok(Err(e)) => {
-                                let mut r = JobReport::failed(
-                                    &spec.name,
-                                    &fingerprint,
-                                    e.to_string(),
-                                    queue_wait_s,
-                                )
-                                .kind(kind_of(&e));
-                                r.joined = joined;
-                                r.total_s = started.elapsed().as_secs_f64();
-                                r
-                            }
-                            Err(_) => {
-                                let mut r = JobReport::failed(
-                                    &spec.name,
-                                    &fingerprint,
-                                    "worker panicked during replay".to_string(),
-                                    queue_wait_s,
-                                )
-                                .kind("panic");
-                                r.joined = joined;
-                                r.total_s = started.elapsed().as_secs_f64();
-                                r
-                            }
-                        };
-                    }
-                    Some(FlightEnd::Failed(cause)) => {
-                        leader_failures += 1;
-                        if leader_failures > opts.retry_budget {
-                            return JobReport::failed(
-                                &spec.name,
-                                &fingerprint,
-                                format!(
-                                    "leader failed {leader_failures} time(s), retry budget \
-                                 exhausted; last cause: {cause}"
-                                ),
-                                queue_wait_s,
-                            )
-                            .kind("leader_failed");
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
-
-fn network_ok_report(
-    spec: &JobSpec,
-    done: &CachedNetworkSynthesis,
-    joined: bool,
-    queue_wait_s: f64,
-    started: Instant,
-) -> JobReport {
+fn ok_report(spec: &JobSpec, done: JobDone, queue_wait_s: f64) -> JobReport {
     JobReport {
         name: spec.name.clone(),
         ok: true,
         error: None,
         error_kind: None,
-        fingerprint: done.fingerprint.clone(),
+        fingerprint: done.fingerprint,
         hit: done.hit,
-        joined,
+        joined: false,
         queue_wait_s,
         solve_wall_s: done.solve_wall.as_secs_f64(),
         saved_wall_s: done.saved_wall_s,
-        total_s: started.elapsed().as_secs_f64(),
+        total_s: 0.0,
         io_bytes: done.result.io_bytes,
         memory_bytes: done.result.memory_bytes,
         predicted_s: done.result.predicted_s,
-    }
-}
-
-fn ok_report(
-    spec: &JobSpec,
-    done: &CachedSynthesis,
-    joined: bool,
-    queue_wait_s: f64,
-    started: Instant,
-) -> JobReport {
-    JobReport {
-        name: spec.name.clone(),
-        ok: true,
-        error: None,
-        error_kind: None,
-        fingerprint: done.fingerprint.clone(),
-        hit: done.hit,
-        joined,
-        queue_wait_s,
-        solve_wall_s: done.solve_wall.as_secs_f64(),
-        saved_wall_s: done.saved_wall_s,
-        total_s: started.elapsed().as_secs_f64(),
-        io_bytes: done.result.io_bytes,
-        memory_bytes: done.result.memory_bytes,
-        predicted_s: done.result.predicted.total_s(),
     }
 }
 

@@ -12,24 +12,14 @@ use crate::model::{Model, Solution, FEAS_TOL};
 pub const BRUTE_FORCE_LIMIT: u64 = 20_000_000;
 
 /// Enumerates the entire Cartesian space and returns the best feasible
-/// point (or the least-violating one if nothing is feasible).
+/// point (or the least-violating one if nothing is feasible) — the loop
+/// behind `Strategy::BruteForce`. Each odometer increment is committed to
+/// the evaluation engine as a batched move, so the compiled backend
+/// re-evaluates only the tape segments the stepped variables reach.
 ///
 /// # Panics
 ///
 /// Panics if the search space exceeds [`BRUTE_FORCE_LIMIT`] points.
-#[deprecated(note = "use `tce_solver::solve` with `SolveOptions` (Strategy::BruteForce)")]
-pub fn solve_brute_force(model: &Model) -> Solution {
-    solve_brute_force_impl(model)
-}
-
-pub(crate) fn solve_brute_force_impl(model: &Model) -> Solution {
-    run_brute(model, EvalBackend::default())
-}
-
-/// The enumeration loop behind [`solve_brute_force`]. Each odometer
-/// increment is committed to the evaluation engine as a batched move, so
-/// the compiled backend re-evaluates only the tape segments the stepped
-/// variables reach.
 pub(crate) fn run_brute(model: &Model, backend: EvalBackend) -> Solution {
     let size = model.space_size();
     assert!(
@@ -99,6 +89,10 @@ pub(crate) fn run_brute(model: &Model, backend: EvalBackend) -> Solution {
 mod tests {
     use super::*;
     use crate::dlm::DlmOptions;
+
+    fn solve_brute_force_impl(model: &Model) -> Solution {
+        run_brute(model, EvalBackend::default())
+    }
     use crate::model::{ConstraintOp, Domain, Expr, Model};
 
     fn small_model() -> Model {
