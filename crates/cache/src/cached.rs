@@ -355,6 +355,7 @@ fn run<P: Pipeline>(
         fingerprint,
     } = request;
 
+    let mut rejected = false;
     if let Some(rec) = cache.get(&fingerprint) {
         match replay_outcome(&rec, &canon, prepared.model()) {
             Some(outcome) => {
@@ -368,7 +369,10 @@ fn run<P: Pipeline>(
                     saved_wall_s: rec.solve_wall_s,
                 });
             }
-            None => cache.note_reject(),
+            None => {
+                cache.note_reject();
+                rejected = true;
+            }
         }
     } else {
         cache.note_miss();
@@ -406,7 +410,7 @@ fn run<P: Pipeline>(
         plan: P::plan(&result),
     };
     // a failed disk write degrades the cache, not the synthesis
-    let _ = cache.put(&fingerprint, rec);
+    let _ = cache.put_solved(&fingerprint, rec, rejected);
 
     Ok(CachedRun {
         result,

@@ -166,6 +166,11 @@ mod tests {
         assert!(!run.hit, "bogus record must be rejected, not replayed");
         assert_eq!(run.fingerprint, fp);
         assert_eq!(cache.stats().rejects, 1);
+        assert_eq!(
+            cache.stats().duplicate_solves,
+            0,
+            "re-solving a rejected record is not a second execution"
+        );
 
         // the rejected entry was overwritten by the fresh solve
         let again = synthesize_dcs_cached(&p, &config, &cache).expect("again");
@@ -185,6 +190,84 @@ mod tests {
             fp, "3e5c661381b5b053",
             "dense request fingerprint changed — existing caches would all miss"
         );
+    }
+
+    /// Request fingerprint and a digest of the canonical variable order of
+    /// a prepared request. Stored canonical points are laid out in that
+    /// order, so it is as much a part of the on-disk format as the key.
+    fn pin_of(model: &tce_solver::Model, key: u64) -> (String, String) {
+        let canon = canonicalize(model);
+        let mut h = tce_solver::canon::Fnv64::new();
+        for v in &canon.order {
+            h.u64(v.as_usize() as u64);
+        }
+        (fingerprint_hex(key), fingerprint_hex(h.finish()))
+    }
+
+    fn dense_pin(p: &tce_ir::Program, config: &SynthesisConfig) -> (String, String) {
+        let prepared = tce_core::prepare_dcs(p, config).expect("prepare");
+        let model = &prepared.dcs.model;
+        pin_of(model, request_fingerprint(&canonicalize(model), config))
+    }
+
+    fn network_pin(seed: u64, nodes: usize) -> (String, String) {
+        let dag = tce_ir::network::gen_network(&tce_ir::network::NetworkGenConfig {
+            seed,
+            nodes,
+            ..Default::default()
+        });
+        let config = SynthesisConfig::test_scale(64 * 1024);
+        let prepared = tce_core::prepare_network(&dag, &config).expect("prepare network");
+        let model = &prepared.net.model;
+        pin_of(
+            model,
+            network_request_fingerprint(&canonicalize(model), &config),
+        )
+    }
+
+    #[test]
+    fn paper_and_network_fingerprints_are_pinned() {
+        // the cache keys (and canonical orders) of the paper programs and
+        // of seeded networks; like the dense pin above, a change here
+        // silently invalidates every warm cache
+        const GB: u64 = 1 << 30;
+        let pins = [
+            (
+                "four_index_140_120",
+                dense_pin(
+                    &tce_ir::fixtures::four_index_fused(140, 120),
+                    &SynthesisConfig::new(2 * GB),
+                ),
+            ),
+            (
+                "four_index_190_180",
+                dense_pin(
+                    &tce_ir::fixtures::four_index_fused(190, 180),
+                    &SynthesisConfig::new(2 * GB),
+                ),
+            ),
+            (
+                "two_index_paper",
+                dense_pin(
+                    &tce_ir::fixtures::two_index_paper(),
+                    &SynthesisConfig::new(GB),
+                ),
+            ),
+            ("network_7_3", network_pin(7, 3)),
+            ("network_11_5", network_pin(11, 5)),
+        ];
+        let expected = [
+            ("four_index_140_120", "95ca24e63ba86f07", "d7b634b952f4fc95"),
+            ("four_index_190_180", "ee82bb3011b43ef6", "e5368fc846727e95"),
+            ("two_index_paper", "e2fb6fb168001f53", "1527e78c379da7ad"),
+            ("network_7_3", "e2b62d88bdab9314", "050ceb0e450fb844"),
+            ("network_11_5", "7a45f733b1d2b41d", "5736a693ad92714d"),
+        ];
+        for ((name, (fp, order)), (want_name, want_fp, want_order)) in pins.iter().zip(expected) {
+            assert_eq!(*name, want_name);
+            assert_eq!(fp, want_fp, "{name}: request fingerprint changed");
+            assert_eq!(order, want_order, "{name}: canonical order changed");
+        }
     }
 
     #[test]

@@ -56,7 +56,8 @@ pub trait CacheMap: Send + Sync {
     /// Looks up `key`, promoting it in the adapter's recency order.
     fn get(&self, key: &str) -> Option<Arc<CacheRecord>>;
     /// Inserts (or refreshes) `key`, evicting per adapter policy.
-    fn put(&self, key: &str, rec: Arc<CacheRecord>);
+    /// Returns whether it replaced a record resident under `key`.
+    fn put(&self, key: &str, rec: Arc<CacheRecord>) -> bool;
     /// Records currently resident in memory.
     fn resident(&self) -> usize;
     /// Aggregates the adapter's atomic counters.
@@ -96,12 +97,14 @@ impl Lru {
         Some(rec)
     }
 
-    fn put(&mut self, key: String, rec: Arc<CacheRecord>) {
-        if let Some(pos) = self.entries.iter().position(|(k, _)| *k == key) {
+    fn put(&mut self, key: String, rec: Arc<CacheRecord>) -> bool {
+        let pos = self.entries.iter().position(|(k, _)| *k == key);
+        if let Some(pos) = pos {
             self.entries.remove(pos);
         }
         self.entries.insert(0, (key, rec));
         self.entries.truncate(self.cap);
+        pos.is_some()
     }
 
     fn len(&self) -> usize {
@@ -149,9 +152,9 @@ impl CacheMap for MutexLruMap {
         rec
     }
 
-    fn put(&self, key: &str, rec: Arc<CacheRecord>) {
+    fn put(&self, key: &str, rec: Arc<CacheRecord>) -> bool {
         self.puts.fetch_add(1, Ordering::Relaxed);
-        self.inner.lock().put(key.to_string(), rec);
+        self.inner.lock().put(key.to_string(), rec)
     }
 
     fn resident(&self) -> usize {
@@ -246,10 +249,10 @@ impl CacheMap for ShardedLruMap {
         rec
     }
 
-    fn put(&self, key: &str, rec: Arc<CacheRecord>) {
+    fn put(&self, key: &str, rec: Arc<CacheRecord>) -> bool {
         let shard = self.shard(key);
         shard.puts.fetch_add(1, Ordering::Relaxed);
-        shard.lru.lock().put(key.to_string(), rec);
+        shard.lru.lock().put(key.to_string(), rec)
     }
 
     fn resident(&self) -> usize {
@@ -280,7 +283,7 @@ impl<M: CacheMap + ?Sized> CacheMapHandle for SharedHandle<'_, M> {
     }
 
     fn put(&mut self, key: &str, rec: Arc<CacheRecord>) {
-        self.0.put(key, rec)
+        self.0.put(key, rec);
     }
 }
 

@@ -46,6 +46,12 @@ pub struct CacheStats {
     pub orphans_swept: u64,
     /// Total solver wall-clock seconds that hits avoided re-spending.
     pub solver_wall_saved_s: f64,
+    /// Fresh solves stored over a record that was still resident and
+    /// that the solving request had not rejected: work the cache already
+    /// held, executed a second time. Zero while single-flight coalescing
+    /// holds; re-solves after an eviction or a replay reject are not
+    /// counted.
+    pub duplicate_solves: u64,
 }
 
 /// Lock-free counter cell backing [`CacheStats`]. One increment is one
@@ -58,6 +64,7 @@ struct AtomicCacheStats {
     rejects: AtomicU64,
     quarantined: AtomicU64,
     orphans_swept: AtomicU64,
+    duplicate_solves: AtomicU64,
     /// `f64::to_bits` of the accumulated saved seconds.
     saved_bits: AtomicU64,
 }
@@ -87,6 +94,7 @@ impl AtomicCacheStats {
             quarantined: self.quarantined.load(Ordering::Relaxed),
             orphans_swept: self.orphans_swept.load(Ordering::Relaxed),
             solver_wall_saved_s: f64::from_bits(self.saved_bits.load(Ordering::Relaxed)),
+            duplicate_solves: self.duplicate_solves.load(Ordering::Relaxed),
         }
     }
 }
@@ -301,12 +309,35 @@ impl SynthesisCache {
     /// disk. Disk write failures are reported but the in-memory insert
     /// still happens.
     pub fn put(&self, key: &str, rec: CacheRecord) -> Result<(), String> {
-        let rec = Arc::new(rec);
-        self.map.put(key, rec.clone());
-        if let Some(disk) = &self.disk {
-            disk.save(key, &rec)?;
+        self.insert(key, rec).1
+    }
+
+    /// Stores a freshly solved record, like [`SynthesisCache::put`],
+    /// counting it in [`CacheStats::duplicate_solves`] when it replaces a
+    /// resident record the solving request did not reject.
+    pub(crate) fn put_solved(
+        &self,
+        key: &str,
+        rec: CacheRecord,
+        rejected: bool,
+    ) -> Result<(), String> {
+        let (replaced, saved) = self.insert(key, rec);
+        if replaced && !rejected {
+            self.stats.duplicate_solves.fetch_add(1, Ordering::Relaxed);
         }
-        Ok(())
+        saved
+    }
+
+    /// The store behind both puts: whether a resident record was
+    /// replaced, and the outcome of the disk write.
+    fn insert(&self, key: &str, rec: CacheRecord) -> (bool, Result<(), String>) {
+        let rec = Arc::new(rec);
+        let replaced = self.map.put(key, rec.clone());
+        let saved = match &self.disk {
+            Some(disk) => disk.save(key, &rec),
+            None => Ok(()),
+        };
+        (replaced, saved)
     }
 
     /// Number of records currently resident in memory.
@@ -406,6 +437,20 @@ mod tests {
         assert!((stats.solver_wall_saved_s - 250.0).abs() < 1e-9);
         let map = cache.map_stats();
         assert_eq!(map.found, 1000);
+    }
+
+    #[test]
+    fn duplicate_solves_count_only_unrejected_overwrites() {
+        let cache = SynthesisCache::with_capacity(1);
+        cache.put_solved("a", record(1), false).unwrap();
+        assert_eq!(cache.stats().duplicate_solves, 0, "first solve");
+        cache.put_solved("a", record(1), true).unwrap();
+        assert_eq!(cache.stats().duplicate_solves, 0, "re-solve after a reject");
+        cache.put_solved("a", record(1), false).unwrap();
+        assert_eq!(cache.stats().duplicate_solves, 1, "second execution");
+        cache.put_solved("b", record(2), false).unwrap();
+        cache.put_solved("a", record(1), false).unwrap();
+        assert_eq!(cache.stats().duplicate_solves, 1, "re-solve after eviction");
     }
 
     #[test]

@@ -360,7 +360,7 @@ impl JobReport {
 }
 
 /// Aggregates over one batch.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug, Default, Serialize)]
 pub struct BatchSummary {
     /// Total jobs.
     pub jobs: u64,
@@ -388,14 +388,106 @@ pub struct BatchSummary {
     pub p99_s: f64,
 }
 
+impl BatchSummary {
+    /// Folds one finished job into the outcome counts.
+    pub(crate) fn count(&mut self, r: &JobReport) {
+        self.jobs += 1;
+        if r.ok {
+            self.ok += 1;
+            if r.hit {
+                self.hits += 1;
+            } else {
+                self.misses += 1;
+            }
+        } else {
+            self.failed += 1;
+        }
+        if r.joined {
+            self.joined += 1;
+        }
+        self.solver_wall_saved_s += r.saved_wall_s;
+    }
+}
+
 /// Nearest-rank percentile of an ascending-sorted latency sample;
 /// `0.0` on an empty sample. `p` is in percent (e.g. `99.0`).
 pub fn percentile(sorted: &[f64], p: f64) -> f64 {
     if sorted.is_empty() {
         return 0.0;
     }
-    let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
-    sorted[rank.clamp(1, sorted.len()) - 1]
+    sorted[nearest_rank(sorted.len() as u64, p) as usize - 1]
+}
+
+/// The 1-based nearest rank of percentile `p` in a sample of `n > 0`.
+fn nearest_rank(n: u64, p: f64) -> u64 {
+    (((p / 100.0) * n as f64).ceil() as u64).clamp(1, n)
+}
+
+/// Smallest latency the histogram resolves; anything faster shares the
+/// first bucket.
+const HIST_MIN_S: f64 = 1e-6;
+/// Ratio between consecutive bucket bounds. A bucket's geometric
+/// midpoint is within `sqrt(1.04) - 1 < 2%` of every value in it.
+const HIST_RATIO: f64 = 1.04;
+/// Buckets from 1 µs up to about three hours.
+const HIST_BUCKETS: usize = 588;
+
+/// A fixed-size log-bucket latency histogram: nearest-rank percentiles
+/// within about 2% relative error, in constant memory however many
+/// samples it has seen.
+pub(crate) struct LatencyHistogram {
+    counts: Box<[u64; HIST_BUCKETS]>,
+    total: u64,
+    min: f64,
+    max: f64,
+}
+
+impl Default for LatencyHistogram {
+    fn default() -> Self {
+        LatencyHistogram {
+            counts: Box::new([0; HIST_BUCKETS]),
+            total: 0,
+            min: f64::INFINITY,
+            max: 0.0,
+        }
+    }
+}
+
+impl LatencyHistogram {
+    /// Adds one latency sample, in seconds.
+    pub(crate) fn record(&mut self, s: f64) {
+        let s = s.max(0.0);
+        let bucket = if s > HIST_MIN_S {
+            ((s / HIST_MIN_S).ln() / HIST_RATIO.ln()) as usize
+        } else {
+            0
+        };
+        self.counts[bucket.min(HIST_BUCKETS - 1)] += 1;
+        self.total += 1;
+        self.min = self.min.min(s);
+        self.max = self.max.max(s);
+    }
+
+    /// Nearest-rank percentile `p` (in percent): the midpoint of the
+    /// bucket holding that rank, clamped to the observed range (so a
+    /// single sample reads back exactly); `0.0` when empty.
+    pub(crate) fn percentile(&self, p: f64) -> f64 {
+        if self.total == 0 {
+            return 0.0;
+        }
+        let rank = nearest_rank(self.total, p);
+        let mut seen = 0;
+        let bucket = self
+            .counts
+            .iter()
+            .position(|&c| {
+                seen += c;
+                seen >= rank
+            })
+            .unwrap_or(HIST_BUCKETS - 1);
+        let mid = HIST_MIN_S * HIST_RATIO.powf(bucket as f64 + 0.5);
+        mid.clamp(self.min, self.max)
+    }
 }
 
 /// The machine-readable batch report.
@@ -500,6 +592,41 @@ mod tests {
         for spec in [full, sparse] {
             let back = JobSpec::from_value(&spec.to_value()).expect("round trip");
             assert_eq!(spec_digest(&back), spec_digest(&spec), "{}", spec.name);
+        }
+    }
+
+    #[test]
+    fn histogram_tracks_nearest_rank_within_two_percent() {
+        let empty = LatencyHistogram::default();
+        assert_eq!(empty.percentile(50.0), 0.0);
+        assert_eq!(empty.percentile(99.0), 0.0);
+
+        let mut one = LatencyHistogram::default();
+        one.record(0.0123);
+        assert_eq!(one.percentile(50.0), 0.0123);
+        assert_eq!(one.percentile(99.0), 0.0123);
+
+        // a seeded log-uniform sample spanning 10 µs .. 10 s
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut sample = Vec::new();
+        let mut hist = LatencyHistogram::default();
+        for _ in 0..5000 {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            let u = (state >> 11) as f64 / (1u64 << 53) as f64;
+            let s = 1e-5 * 1e6f64.powf(u);
+            sample.push(s);
+            hist.record(s);
+        }
+        sample.sort_by(f64::total_cmp);
+        for p in [1.0, 50.0, 90.0, 99.0, 99.9, 100.0] {
+            let exact = percentile(&sample, p);
+            let approx = hist.percentile(p);
+            assert!(
+                (approx - exact).abs() <= 0.02 * exact,
+                "p{p}: histogram {approx} vs exact {exact}"
+            );
         }
     }
 

@@ -61,6 +61,7 @@ pub use proto::{
 };
 pub use server::{
     Server, ServerBuilder, DEFAULT_FRAME_TIMEOUT, DEFAULT_QUEUE_CAP, DEFAULT_WRITE_TIMEOUT,
+    RECENT_REPORTS,
 };
 pub use service::{BatchOptions, JobCancel, JournalConfig, LEADER_RETRY_BUDGET};
 pub use supervise::{Flight, FlightEnd, FlightGuard, Role, SingleFlight};

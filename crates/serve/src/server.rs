@@ -37,7 +37,7 @@
 //!   `retry_after_ms` backoff hint, instead of being solved into a
 //!   report its deadline already invalidated.
 
-use crate::job::{percentile, BatchReport, JobReport, JobSpec, REPORT_SCHEMA};
+use crate::job::{BatchReport, BatchSummary, JobReport, JobSpec, LatencyHistogram, REPORT_SCHEMA};
 use crate::journal::{self, JournalWriter};
 use crate::netfault::{self, NetFaultInjector, NetFaultPlan, ReadOutcome};
 use crate::proto::{self, FrameDecoder, JobRequest, ServeStats, WireFrame};
@@ -58,6 +58,11 @@ use tce_cache::SynthesisCache;
 
 /// Default bound on the daemon's admission queue.
 pub const DEFAULT_QUEUE_CAP: usize = 64;
+
+/// How many of its most recent reports the daemon keeps for its final
+/// report. Its outcome counts stay exact past this; the journal is the
+/// full per-job ledger.
+pub const RECENT_REPORTS: usize = 1024;
 
 /// Default mid-frame read deadline: a connection holding a frame open
 /// longer than this is a slow loris and is evicted.
@@ -366,7 +371,8 @@ impl Server {
             completed: AtomicU64::new(0),
             canceled: AtomicU64::new(0),
             deadline_shed: AtomicU64::new(0),
-            latencies: Mutex::new(Vec::new()),
+            latencies: Mutex::new(LatencyHistogram::default()),
+            served: Mutex::new(Served::default()),
             base_idx: recovered.len(),
             queue_cap: self.config.queue_cap,
             workers: workers as u64,
@@ -387,19 +393,16 @@ impl Server {
             write_timeout: self.config.write_timeout,
         };
         let net = (!self.config.net_faults.is_idle()).then(|| self.config.net_faults.injector(0));
-        let live: Mutex<Vec<(usize, JobReport)>> = Mutex::new(Vec::new());
         let flights = SingleFlight::default();
 
         crossbeam::thread::scope(|scope| {
             let state = &state;
-            let live = &live;
             let flights = &flights;
             let opts = &opts;
             let guards = &guards;
             let net = &net;
             for _ in 0..workers {
-                scope
-                    .spawn(move |_| worker_loop(state, writer, cache, flights, opts, runner, live));
+                scope.spawn(move |_| worker_loop(state, writer, cache, flights, opts, runner));
             }
             // the acceptor runs here, on the serve thread itself
             loop {
@@ -429,9 +432,8 @@ impl Server {
                         }
                         state.conns_total.fetch_add(1, Ordering::Relaxed);
                         state.conns_open.fetch_add(1, Ordering::Relaxed);
-                        scope.spawn(move |_| {
-                            conn_loop(stream, state, writer, guards, net.as_ref(), live)
-                        });
+                        scope
+                            .spawn(move |_| conn_loop(stream, state, writer, guards, net.as_ref()));
                     }
                     Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                         std::thread::sleep(POLL);
@@ -451,22 +453,28 @@ impl Server {
         })
         .expect("daemon scope");
 
-        // final report: recovered jobs first, then everything served
-        // live, in admission order
-        let mut jobs: Vec<JobReport> = recovered.iter().map(|(r, _)| r.clone()).collect();
-        let mut live = live.into_inner();
-        live.sort_by_key(|(idx, _)| *idx);
-        jobs.extend(live.into_iter().map(|(_, r)| r));
-
-        let resumed = recovered.iter().filter(|(_, v)| *v).count() as u64;
+        // final report: recovered jobs first, then the most recent live
+        // reports in admission order; the counts cover every job
+        let Served { tally, recent } = state.served.into_inner();
         let mut latencies = state.latencies.into_inner();
-        latencies.extend(
-            recovered
-                .iter()
-                .filter(|(_, v)| !*v)
-                .map(|(r, _)| r.queue_wait_s + r.total_s),
-        );
-        let summary = summarize(&jobs, resumed, started.elapsed().as_secs_f64(), latencies);
+        let mut summary = tally;
+        for (r, verbatim) in &recovered {
+            summary.count(r);
+            if !verbatim {
+                latencies.record(r.queue_wait_s + r.total_s);
+            }
+        }
+        summary.resumed = recovered.iter().filter(|(_, v)| *v).count() as u64;
+        summary.wall_s = started.elapsed().as_secs_f64();
+        summary.p50_s = latencies.percentile(50.0);
+        summary.p99_s = latencies.percentile(99.0);
+        let mut recent = Vec::from(recent);
+        recent.sort_by_key(|(idx, _)| *idx);
+        let jobs: Vec<JobReport> = recovered
+            .into_iter()
+            .map(|(r, _)| r)
+            .chain(recent.into_iter().map(|(_, r)| r))
+            .collect();
         if let Some(w) = writer {
             w.stats(
                 state.completed.load(Ordering::Relaxed),
@@ -531,6 +539,25 @@ fn recover_state(
     Ok(out)
 }
 
+/// What the daemon keeps of the live jobs it has finished: exact outcome
+/// counts and the latest [`RECENT_REPORTS`] reports, so its memory does
+/// not grow with the number of jobs served.
+#[derive(Default)]
+struct Served {
+    tally: BatchSummary,
+    recent: VecDeque<(usize, JobReport)>,
+}
+
+impl Served {
+    fn push(&mut self, idx: usize, report: JobReport) {
+        self.tally.count(&report);
+        if self.recent.len() == RECENT_REPORTS {
+            self.recent.pop_front();
+        }
+        self.recent.push_back((idx, report));
+    }
+}
+
 /// Shared daemon state: the bounded admission queue plus lifetime
 /// counters, all owned by `serve_runner`'s stack frame and borrowed by
 /// every worker and connection thread.
@@ -547,7 +574,10 @@ struct DaemonState {
     /// Jobs shed at worker pickup because their queue wait had already
     /// consumed their deadline budget.
     deadline_shed: AtomicU64,
-    latencies: Mutex<Vec<f64>>,
+    /// End-to-end latency of every job a worker ran.
+    latencies: Mutex<LatencyHistogram>,
+    /// Outcome counts and recent reports of every finished live job.
+    served: Mutex<Served>,
     /// First live admission index (recovered jobs occupy `0..base_idx`).
     base_idx: usize,
     queue_cap: usize,
@@ -571,8 +601,10 @@ struct DaemonState {
 
 impl DaemonState {
     fn stats(&self) -> ServeStats {
-        let mut latencies = self.latencies.lock().clone();
-        latencies.sort_by(f64::total_cmp);
+        let (p50_s, p99_s) = {
+            let latencies = self.latencies.lock();
+            (latencies.percentile(50.0), latencies.percentile(99.0))
+        };
         ServeStats {
             admitted: self.admitted.load(Ordering::Relaxed),
             completed: self.completed.load(Ordering::Relaxed),
@@ -581,8 +613,8 @@ impl DaemonState {
             deadline_shed: self.deadline_shed.load(Ordering::Relaxed),
             queue_depth: self.queue.lock().len() as u64,
             workers: self.workers,
-            p50_s: percentile(&latencies, 50.0),
-            p99_s: percentile(&latencies, 99.0),
+            p50_s,
+            p99_s,
             conns_open: self.conns_open.load(Ordering::Relaxed),
             conns_total: self.conns_total.load(Ordering::Relaxed),
             overloaded: self.overloaded.load(Ordering::Relaxed),
@@ -598,12 +630,15 @@ impl DaemonState {
     /// until the current backlog clears (queue waves × p50 latency),
     /// clamped to a sane band so the hint is always actionable.
     fn retry_after_ms(&self) -> u64 {
-        let mut latencies = self.latencies.lock().clone();
-        latencies.sort_by(f64::total_cmp);
-        let p50 = percentile(&latencies, 50.0).max(0.005);
+        let p50 = self.latencies.lock().percentile(50.0).max(0.005);
         let depth = self.queue.lock().len() as f64;
         let waves = (depth / self.workers.max(1) as f64).ceil().max(1.0);
         ((waves * p50 * 1000.0) as u64).clamp(10, 5_000)
+    }
+
+    /// Records a live job's terminal report.
+    fn finish(&self, idx: usize, report: JobReport) {
+        self.served.lock().push(idx, report);
     }
 
     fn register_conn(&self, conn: &Arc<ConnWriter>) {
@@ -748,7 +783,6 @@ fn worker_loop(
     flights: &SingleFlight,
     opts: &BatchOptions,
     runner: &dyn JobRunner,
-    live: &Mutex<Vec<(usize, JobReport)>>,
 ) {
     loop {
         let job = {
@@ -827,7 +861,7 @@ fn worker_loop(
                     },
                 );
             }
-            live.lock().push((job.idx, report));
+            state.finish(job.idx, report);
             continue;
         }
         if let Some(w) = writer {
@@ -866,7 +900,7 @@ fn worker_loop(
         state
             .latencies
             .lock()
-            .push(job.enqueued.elapsed().as_secs_f64());
+            .record(job.enqueued.elapsed().as_secs_f64());
         state.completed.fetch_add(1, Ordering::Relaxed);
         send_tracked(
             state,
@@ -876,7 +910,7 @@ fn worker_loop(
                 report: report.clone(),
             },
         );
-        live.lock().push((job.idx, report));
+        state.finish(job.idx, report);
     }
 }
 
@@ -893,7 +927,6 @@ fn conn_loop(
     writer: Option<&JournalWriter>,
     guards: &ConnGuards,
     faults: Option<&Arc<NetFaultInjector>>,
-    live: &Mutex<Vec<(usize, JobReport)>>,
 ) {
     let _ = reader.set_nodelay(true);
     let Ok(write_half) = reader.try_clone() else {
@@ -972,7 +1005,7 @@ fn conn_loop(
                     match decoder.next_frame() {
                         Ok(Some(frame)) => {
                             state.frames_in.fetch_add(1, Ordering::Relaxed);
-                            if !handle_frame(frame, state, writer, &conn, live) {
+                            if !handle_frame(frame, state, writer, &conn) {
                                 closed = true;
                                 break;
                             }
@@ -1011,7 +1044,7 @@ fn conn_loop(
     if teardown {
         let ids: Vec<u64> = conn.inflight.lock().keys().copied().collect();
         for id in ids {
-            cancel_job(id, state, writer, &conn, live);
+            cancel_job(id, state, writer, &conn);
         }
     }
     state.conns_open.fetch_sub(1, Ordering::Relaxed);
@@ -1023,7 +1056,6 @@ fn handle_frame(
     state: &DaemonState,
     writer: Option<&JournalWriter>,
     conn: &Arc<ConnWriter>,
-    live: &Mutex<Vec<(usize, JobReport)>>,
 ) -> bool {
     match frame {
         WireFrame::Job(req) => {
@@ -1031,7 +1063,7 @@ fn handle_frame(
             true
         }
         WireFrame::Cancel { id } => {
-            let outcome = cancel_job(id, state, writer, conn, live);
+            let outcome = cancel_job(id, state, writer, conn);
             send_tracked(
                 state,
                 conn,
@@ -1099,7 +1131,6 @@ fn cancel_job(
     state: &DaemonState,
     writer: Option<&JournalWriter>,
     conn: &Arc<ConnWriter>,
-    live: &Mutex<Vec<(usize, JobReport)>>,
 ) -> &'static str {
     // queued: remove the job before any worker can start it
     let queued = {
@@ -1135,7 +1166,7 @@ fn cancel_job(
                 report: report.clone(),
             },
         );
-        live.lock().push((job.idx, report));
+        state.finish(job.idx, report);
         return "queued";
     }
     // running (or picked up moments ago): trip the handle under the
@@ -1365,6 +1396,67 @@ mod tests {
             assert_eq!(report.jobs[1].name, "b");
             assert!(report.summary.p99_s >= report.summary.p50_s);
             assert!(report.summary.p50_s > 0.0, "latency telemetry present");
+        });
+    }
+
+    #[test]
+    fn daemon_state_stays_bounded_with_exact_counts() {
+        // more jobs than the daemon keeps reports for: the counts stay
+        // exact, the report list is capped at the most recent admissions
+        const WINDOW: usize = 4;
+        let total = RECENT_REPORTS + 100;
+        let server = Server::builder().workers(2).build();
+        let cache = SynthesisCache::in_memory();
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let shutdown = AtomicBool::new(false);
+
+        std::thread::scope(|scope| {
+            let handle = scope.spawn(|| server.serve(listener, &cache, &shutdown).expect("serve"));
+            let mut client = TcpStream::connect(addr).expect("connect");
+            let mut expect = BatchSummary::default();
+            for start in (0..total).step_by(WINDOW) {
+                // windows of identical requests, so some of them join;
+                // every seventh window is an unparsable program
+                for i in start..start + WINDOW {
+                    let mut spec = job(&format!("job-{i}"), 64, 48, (start / WINDOW % 5) as u64);
+                    if start / WINDOW % 7 == 3 {
+                        spec.program = "not a program".to_string();
+                    }
+                    send(
+                        &mut client,
+                        &WireFrame::Job(JobRequest { id: i as u64, spec }),
+                    );
+                }
+                for _ in 0..WINDOW {
+                    match read_frame(&mut client).expect("read").expect("frame") {
+                        WireFrame::Report { report, .. } => expect.count(&report),
+                        other => panic!("unexpected frame {other:?}"),
+                    }
+                }
+            }
+            let stats = stats_of(&mut client);
+            assert!(stats.p99_s >= stats.p50_s && stats.p50_s > 0.0, "{stats:?}");
+            send(&mut client, &WireFrame::Shutdown);
+            let report = handle.join().expect("serve thread");
+
+            let s = &report.summary;
+            assert_eq!(s.jobs, total as u64);
+            assert_eq!(
+                (s.ok, s.failed, s.hits, s.misses, s.joined),
+                (
+                    expect.ok,
+                    expect.failed,
+                    expect.hits,
+                    expect.misses,
+                    expect.joined
+                )
+            );
+            assert!(expect.failed > 0 && expect.hits > 0 && expect.misses > 0);
+            assert_eq!(report.jobs.len(), RECENT_REPORTS, "report list is capped");
+            for (k, r) in report.jobs.iter().enumerate() {
+                assert_eq!(r.name, format!("job-{}", total - RECENT_REPORTS + k));
+            }
         });
     }
 

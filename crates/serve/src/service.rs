@@ -629,7 +629,7 @@ pub(crate) fn run_batch_runner(
 }
 
 /// Folds per-job reports (plus the measured per-request latencies) into a
-/// [`BatchSummary`]. Shared by the batch engine and the daemon.
+/// [`BatchSummary`]. Shared by the batch engine and journal recovery.
 pub(crate) fn summarize(
     jobs: &[JobReport],
     resumed: u64,
@@ -637,33 +637,12 @@ pub(crate) fn summarize(
     mut latencies: Vec<f64>,
 ) -> BatchSummary {
     let mut summary = BatchSummary {
-        jobs: jobs.len() as u64,
-        ok: 0,
-        failed: 0,
-        hits: 0,
-        misses: 0,
-        joined: 0,
         resumed,
-        solver_wall_saved_s: 0.0,
         wall_s,
-        p50_s: 0.0,
-        p99_s: 0.0,
+        ..BatchSummary::default()
     };
     for r in jobs {
-        if r.ok {
-            summary.ok += 1;
-            if r.hit {
-                summary.hits += 1;
-            } else {
-                summary.misses += 1;
-            }
-        } else {
-            summary.failed += 1;
-        }
-        if r.joined {
-            summary.joined += 1;
-        }
-        summary.solver_wall_saved_s += r.saved_wall_s;
+        summary.count(r);
     }
     latencies.sort_by(f64::total_cmp);
     summary.p50_s = crate::job::percentile(&latencies, 50.0);

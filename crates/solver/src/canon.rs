@@ -175,55 +175,222 @@ fn domain_hash(d: Domain) -> u64 {
     h.finish()
 }
 
-/// Canonical hash of an expression under the given variable colors.
-/// When `mark` is `Some(v)`, occurrences of `v` hash to a marker instead
-/// of their color — this is how refinement sees *where* a variable sits.
-fn expr_hash(e: &Expr, colors: &[u64], mark: Option<VarId>) -> u64 {
-    let var = |v: VarId| -> u64 {
-        if mark == Some(v) {
-            u64::MAX ^ 0x5eed
-        } else {
-            colors[v.as_usize()]
-        }
-    };
-    let mut h = Fnv64::new();
-    match e {
-        Expr::Const(c) => {
-            h.byte(1);
-            h.f64(*c);
-        }
-        Expr::Var(v) => {
-            h.byte(2);
-            h.u64(var(*v));
-        }
-        Expr::Add(es) | Expr::Mul(es) => {
-            h.byte(if matches!(e, Expr::Add(_)) { 3 } else { 4 });
-            let mut hs: Vec<u64> = es.iter().map(|c| expr_hash(c, colors, mark)).collect();
-            hs.sort_unstable();
-            for x in hs {
-                h.u64(x);
-            }
-        }
-        Expr::Sub(a, b) => {
-            h.byte(5);
-            h.u64(expr_hash(a, colors, mark));
-            h.u64(expr_hash(b, colors, mark));
-        }
-        Expr::CeilDiv(a, b) => {
-            h.byte(6);
-            h.u64(expr_hash(a, colors, mark));
-            h.u64(expr_hash(b, colors, mark));
-        }
-        Expr::Select(v, opts) => {
-            h.byte(7);
-            h.u64(var(*v));
-            h.u64(opts.len() as u64);
-            for o in opts {
-                h.u64(expr_hash(o, colors, mark));
+/// What a hashed node is; the byte tags are the ones the FNV stream has
+/// always used (`1` const … `7` select).
+#[derive(Clone, Copy, Debug)]
+enum Op {
+    Const(f64),
+    Var(VarId),
+    Add,
+    Mul,
+    Sub,
+    CeilDiv,
+    Select(VarId),
+}
+
+/// One node of a flattened expression; its children are
+/// `ExprArena::kids[kids.0..kids.1]`.
+#[derive(Clone, Copy, Debug)]
+struct Node {
+    op: Op,
+    kids: (u32, u32),
+}
+
+/// A top-level expression: the objective, or a constraint with the FNV
+/// state after its sense, rhs and scale (the prefix of its hash).
+#[derive(Clone, Copy, Debug)]
+struct Root {
+    node: u32,
+    prefix: Option<Fnv64>,
+}
+
+impl Root {
+    /// The root's hash given its expression's hash: the expression hash
+    /// itself for the objective, the constraint hash otherwise.
+    fn hash(&self, expr: u64) -> u64 {
+        match self.prefix {
+            None => expr,
+            Some(mut h) => {
+                h.u64(expr);
+                h.finish()
             }
         }
     }
-    h.finish()
+}
+
+/// Marker hashed in place of the color of the variable being refined.
+const MARK: u64 = u64::MAX ^ 0x5eed;
+
+/// The objective and every constraint flattened once into post-order
+/// (children before parents), plus an occurrence index: for each
+/// variable, the nodes and roots whose subtree mentions it. Refining a
+/// variable then re-hashes only those nodes; every other node's marked
+/// hash equals its plain hash.
+struct ExprArena {
+    nodes: Vec<Node>,
+    kids: Vec<u32>,
+    /// The objective first, then the constraints in model order.
+    roots: Vec<Root>,
+    /// Nodes that mention some variable, ascending: the only nodes whose
+    /// hash changes when the colors do.
+    varying: Vec<u32>,
+    /// Per variable, the nodes that mention it, ascending.
+    occ_nodes: Vec<Vec<u32>>,
+    /// Per variable, the roots whose expression mentions it.
+    occ_roots: Vec<Vec<u32>>,
+}
+
+impl ExprArena {
+    fn build(model: &Model) -> ExprArena {
+        let mut arena = ExprArena {
+            nodes: Vec::new(),
+            kids: Vec::new(),
+            roots: Vec::new(),
+            varying: Vec::new(),
+            occ_nodes: vec![Vec::new(); model.num_vars()],
+            occ_roots: vec![Vec::new(); model.num_vars()],
+        };
+        // sorted variable set of each node, only while building
+        let mut vars: Vec<Vec<u32>> = Vec::new();
+        let obj = arena.push(&model.objective, &mut vars);
+        arena.roots.push(Root {
+            node: obj,
+            prefix: None,
+        });
+        for c in model.constraints() {
+            let node = arena.push(&c.expr, &mut vars);
+            let mut h = Fnv64::new();
+            h.byte(op_tag(c.op));
+            h.f64(c.rhs);
+            h.f64(c.scale);
+            arena.roots.push(Root {
+                node,
+                prefix: Some(h),
+            });
+        }
+        for (i, set) in vars.iter().enumerate() {
+            if !set.is_empty() {
+                arena.varying.push(i as u32);
+            }
+            for &v in set {
+                arena.occ_nodes[v as usize].push(i as u32);
+            }
+        }
+        for (r, root) in arena.roots.iter().enumerate() {
+            for &v in &vars[root.node as usize] {
+                arena.occ_roots[v as usize].push(r as u32);
+            }
+        }
+        arena
+    }
+
+    /// Appends `e` in post-order and returns its node id; `vars[id]` is
+    /// the sorted set of variables the subtree mentions.
+    fn push(&mut self, e: &Expr, vars: &mut Vec<Vec<u32>>) -> u32 {
+        let (op, children): (Op, &[Expr]) = match e {
+            Expr::Const(c) => (Op::Const(*c), &[]),
+            Expr::Var(v) => (Op::Var(*v), &[]),
+            Expr::Add(es) => (Op::Add, es),
+            Expr::Mul(es) => (Op::Mul, es),
+            Expr::Sub(a, b) => return self.push_node(Op::Sub, [&**a, &**b], vars),
+            Expr::CeilDiv(a, b) => return self.push_node(Op::CeilDiv, [&**a, &**b], vars),
+            Expr::Select(v, opts) => (Op::Select(*v), opts),
+        };
+        self.push_node(op, children, vars)
+    }
+
+    fn push_node<'e>(
+        &mut self,
+        op: Op,
+        children: impl IntoIterator<Item = &'e Expr>,
+        vars: &mut Vec<Vec<u32>>,
+    ) -> u32 {
+        let ids: Vec<u32> = children.into_iter().map(|c| self.push(c, vars)).collect();
+        let mut set: Vec<u32> = ids
+            .iter()
+            .flat_map(|&c| vars[c as usize].iter().copied())
+            .collect();
+        if let Op::Var(v) | Op::Select(v) = op {
+            set.push(v.0);
+        }
+        set.sort_unstable();
+        set.dedup();
+        let lo = self.kids.len() as u32;
+        self.kids.extend(ids);
+        self.nodes.push(Node {
+            op,
+            kids: (lo, self.kids.len() as u32),
+        });
+        vars.push(set);
+        self.nodes.len() as u32 - 1
+    }
+
+    /// Canonical hash of node `i` under `colors`, reading each child's
+    /// hash through `child`. Occurrences of `mark` hash to [`MARK`]
+    /// instead of their color — this is how refinement sees *where* a
+    /// variable sits. `Add`/`Mul` children are folded in sorted order.
+    fn node_hash(
+        &self,
+        i: u32,
+        colors: &[u64],
+        mark: Option<VarId>,
+        child: impl Fn(u32) -> u64,
+        scratch: &mut Vec<u64>,
+    ) -> u64 {
+        let var = |v: VarId| -> u64 {
+            if mark == Some(v) {
+                MARK
+            } else {
+                colors[v.as_usize()]
+            }
+        };
+        let node = self.nodes[i as usize];
+        let kids = &self.kids[node.kids.0 as usize..node.kids.1 as usize];
+        let mut h = Fnv64::new();
+        match node.op {
+            Op::Const(c) => {
+                h.byte(1);
+                h.f64(c);
+            }
+            Op::Var(v) => {
+                h.byte(2);
+                h.u64(var(v));
+            }
+            Op::Add | Op::Mul => {
+                h.byte(if matches!(node.op, Op::Add) { 3 } else { 4 });
+                scratch.clear();
+                scratch.extend(kids.iter().map(|&c| child(c)));
+                scratch.sort_unstable();
+                for &x in scratch.iter() {
+                    h.u64(x);
+                }
+            }
+            Op::Sub | Op::CeilDiv => {
+                h.byte(if matches!(node.op, Op::Sub) { 5 } else { 6 });
+                for &c in kids {
+                    h.u64(child(c));
+                }
+            }
+            Op::Select(v) => {
+                h.byte(7);
+                h.u64(var(v));
+                h.u64(kids.len() as u64);
+                for &c in kids {
+                    h.u64(child(c));
+                }
+            }
+        }
+        h.finish()
+    }
+
+    /// Re-hashes the nodes `ids` (ascending) plain, under `colors`.
+    fn rehash(&self, ids: impl Iterator<Item = u32>, colors: &[u64], plain: &mut [u64]) {
+        let mut scratch = Vec::new();
+        for i in ids {
+            plain[i as usize] =
+                self.node_hash(i, colors, None, |c| plain[c as usize], &mut scratch);
+        }
+    }
 }
 
 fn op_tag(op: ConstraintOp) -> u8 {
@@ -234,22 +401,13 @@ fn op_tag(op: ConstraintOp) -> u8 {
     }
 }
 
-/// Hash of one constraint (sense, rhs, scale, expression) under colors.
-fn constraint_hash(model: &Model, j: usize, colors: &[u64], mark: Option<VarId>) -> u64 {
-    let c = &model.constraints()[j];
-    let mut h = Fnv64::new();
-    h.byte(op_tag(c.op));
-    h.f64(c.rhs);
-    h.f64(c.scale);
-    h.u64(expr_hash(&c.expr, colors, mark));
-    h.finish()
-}
-
 /// Computes the canonical form of a model.
 ///
 /// Runs WL refinement until the variable partition stops refining (at
-/// most `num_vars` rounds), then hashes the colored structure. Cost is
-/// `O(rounds · vars · model size)` — microseconds at synthesis scale.
+/// most `num_vars` rounds), then hashes the colored structure. Each round
+/// hashes every node plain once, then for each variable re-hashes only
+/// the nodes that mention it (see [`ExprArena`]), so a round costs
+/// `O(model size + Σ_v nodes mentioning v)`.
 pub fn canonicalize(model: &Model) -> CanonicalModel {
     let n = model.num_vars();
     let mut colors: Vec<u64> = model.vars().iter().map(|v| domain_hash(v.domain)).collect();
@@ -261,35 +419,78 @@ pub fn canonicalize(model: &Model) -> CanonicalModel {
         s.len()
     };
 
+    let arena = ExprArena::build(model);
+    let len = arena.nodes.len();
+    // plain hashes under the current colors; variable-free nodes are
+    // hashed once here and never change
+    let mut plain = vec![0u64; len];
+    arena.rehash(0..len as u32, &colors, &mut plain);
+    // marked hashes of the variable being refined: `marked[i]` is valid
+    // exactly when `stamp[i] == pass`
+    let mut marked = vec![0u64; len];
+    let mut stamp = vec![0u32; len];
+    let mut pass = 0u32;
+    let mut scratch = Vec::new();
+    let mut sig: Vec<(u64, u64)> = Vec::new();
+    let obj_role = {
+        let mut role = Fnv64::new();
+        role.str("obj");
+        role.finish()
+    };
+
     let mut classes = distinct(&colors);
     for _round in 0..n.max(1) {
+        let root_plain: Vec<u64> = arena
+            .roots
+            .iter()
+            .map(|r| r.hash(plain[r.node as usize]))
+            .collect();
         let mut next = Vec::with_capacity(n);
         for v in 0..n {
-            let v = VarId(v as u32);
+            pass += 1;
+            let var = VarId(v as u32);
+            for &i in &arena.occ_nodes[v] {
+                let h = arena.node_hash(
+                    i,
+                    &colors,
+                    Some(var),
+                    |c| {
+                        if stamp[c as usize] == pass {
+                            marked[c as usize]
+                        } else {
+                            plain[c as usize]
+                        }
+                    },
+                    &mut scratch,
+                );
+                marked[i as usize] = h;
+                stamp[i as usize] = pass;
+            }
             // the variable's signature: every top-level expression hashed
             // with this variable's occurrences marked, as a sorted multiset
             // (paired with the expression's own role hash so "appears in
-            // the objective" and "appears in constraint shaped X" differ)
-            let mut sig: Vec<(u64, u64)> = Vec::new();
-            let obj_marked = expr_hash(&model.objective, &colors, Some(v));
-            let obj_plain = expr_hash(&model.objective, &colors, None);
-            if obj_marked != obj_plain {
-                let mut role = Fnv64::new();
-                role.str("obj");
-                sig.push((role.finish(), obj_marked));
-            }
-            for j in 0..model.constraints().len() {
-                let marked = constraint_hash(model, j, &colors, Some(v));
-                let plain = constraint_hash(model, j, &colors, None);
-                if marked != plain {
-                    sig.push((plain, marked));
+            // the objective" and "appears in constraint shaped X" differ).
+            // Roots that do not mention the variable hash the same marked
+            // or plain, so only the indexed ones can contribute.
+            sig.clear();
+            for &r in &arena.occ_roots[v] {
+                let root = &arena.roots[r as usize];
+                let marked_root = root.hash(marked[root.node as usize]);
+                let plain_root = root_plain[r as usize];
+                if marked_root != plain_root {
+                    let role = if root.prefix.is_none() {
+                        obj_role
+                    } else {
+                        plain_root
+                    };
+                    sig.push((role, marked_root));
                 }
             }
             sig.sort_unstable();
             let mut h = Fnv64::new();
-            h.u64(colors[v.as_usize()]);
+            h.u64(colors[v]);
             h.u64(sig.len() as u64);
-            for (role, marked) in sig {
+            for &(role, marked) in &sig {
                 h.u64(role);
                 h.u64(marked);
             }
@@ -297,6 +498,7 @@ pub fn canonicalize(model: &Model) -> CanonicalModel {
         }
         let next_classes = distinct(&next);
         colors = next;
+        arena.rehash(arena.varying.iter().copied(), &colors, &mut plain);
         if next_classes == classes {
             break;
         }
@@ -322,10 +524,9 @@ pub fn canonicalize(model: &Model) -> CanonicalModel {
         dh.u64(domain_hash(model.vars()[v.as_usize()].domain));
         h.u64(dh.finish());
     }
-    h.u64(expr_hash(&model.objective, &colors, None));
-    let mut cons: Vec<u64> = (0..model.constraints().len())
-        .map(|j| constraint_hash(model, j, &colors, None))
-        .collect();
+    let root_hash = |r: &Root| r.hash(plain[r.node as usize]);
+    h.u64(root_hash(&arena.roots[0]));
+    let mut cons: Vec<u64> = arena.roots[1..].iter().map(root_hash).collect();
     cons.sort_unstable();
     h.u64(cons.len() as u64);
     for c in cons {
@@ -389,10 +590,177 @@ pub fn permuted_model(model: &Model, perm: &[usize]) -> Model {
     out
 }
 
+/// The original, non-incremental refinement: every round re-hashes the
+/// whole objective and every constraint twice per variable. Kept as the
+/// oracle the occurrence-indexed [`canonicalize`] must match bit for bit.
+#[cfg(test)]
+mod reference {
+    use super::{domain_hash, op_tag, CanonicalModel, Fnv64, CANON_VERSION};
+    use crate::model::{Expr, Model, VarId};
+
+    /// Canonical hash of an expression under the given variable colors.
+    /// When `mark` is `Some(v)`, occurrences of `v` hash to a marker instead
+    /// of their color — this is how refinement sees *where* a variable sits.
+    fn expr_hash(e: &Expr, colors: &[u64], mark: Option<VarId>) -> u64 {
+        let var = |v: VarId| -> u64 {
+            if mark == Some(v) {
+                u64::MAX ^ 0x5eed
+            } else {
+                colors[v.as_usize()]
+            }
+        };
+        let mut h = Fnv64::new();
+        match e {
+            Expr::Const(c) => {
+                h.byte(1);
+                h.f64(*c);
+            }
+            Expr::Var(v) => {
+                h.byte(2);
+                h.u64(var(*v));
+            }
+            Expr::Add(es) | Expr::Mul(es) => {
+                h.byte(if matches!(e, Expr::Add(_)) { 3 } else { 4 });
+                let mut hs: Vec<u64> = es.iter().map(|c| expr_hash(c, colors, mark)).collect();
+                hs.sort_unstable();
+                for x in hs {
+                    h.u64(x);
+                }
+            }
+            Expr::Sub(a, b) => {
+                h.byte(5);
+                h.u64(expr_hash(a, colors, mark));
+                h.u64(expr_hash(b, colors, mark));
+            }
+            Expr::CeilDiv(a, b) => {
+                h.byte(6);
+                h.u64(expr_hash(a, colors, mark));
+                h.u64(expr_hash(b, colors, mark));
+            }
+            Expr::Select(v, opts) => {
+                h.byte(7);
+                h.u64(var(*v));
+                h.u64(opts.len() as u64);
+                for o in opts {
+                    h.u64(expr_hash(o, colors, mark));
+                }
+            }
+        }
+        h.finish()
+    }
+
+    /// Hash of one constraint (sense, rhs, scale, expression) under colors.
+    fn constraint_hash(model: &Model, j: usize, colors: &[u64], mark: Option<VarId>) -> u64 {
+        let c = &model.constraints()[j];
+        let mut h = Fnv64::new();
+        h.byte(op_tag(c.op));
+        h.f64(c.rhs);
+        h.f64(c.scale);
+        h.u64(expr_hash(&c.expr, colors, mark));
+        h.finish()
+    }
+
+    /// Computes the canonical form of a model.
+    ///
+    /// Runs WL refinement until the variable partition stops refining (at
+    /// most `num_vars` rounds), then hashes the colored structure. Cost is
+    /// `O(rounds · vars · model size)` — microseconds at synthesis scale.
+    pub fn canonicalize(model: &Model) -> CanonicalModel {
+        let n = model.num_vars();
+        let mut colors: Vec<u64> = model.vars().iter().map(|v| domain_hash(v.domain)).collect();
+
+        let distinct = |cs: &[u64]| -> usize {
+            let mut s: Vec<u64> = cs.to_vec();
+            s.sort_unstable();
+            s.dedup();
+            s.len()
+        };
+
+        let mut classes = distinct(&colors);
+        for _round in 0..n.max(1) {
+            let mut next = Vec::with_capacity(n);
+            for v in 0..n {
+                let v = VarId(v as u32);
+                // the variable's signature: every top-level expression hashed
+                // with this variable's occurrences marked, as a sorted multiset
+                // (paired with the expression's own role hash so "appears in
+                // the objective" and "appears in constraint shaped X" differ)
+                let mut sig: Vec<(u64, u64)> = Vec::new();
+                let obj_marked = expr_hash(&model.objective, &colors, Some(v));
+                let obj_plain = expr_hash(&model.objective, &colors, None);
+                if obj_marked != obj_plain {
+                    let mut role = Fnv64::new();
+                    role.str("obj");
+                    sig.push((role.finish(), obj_marked));
+                }
+                for j in 0..model.constraints().len() {
+                    let marked = constraint_hash(model, j, &colors, Some(v));
+                    let plain = constraint_hash(model, j, &colors, None);
+                    if marked != plain {
+                        sig.push((plain, marked));
+                    }
+                }
+                sig.sort_unstable();
+                let mut h = Fnv64::new();
+                h.u64(colors[v.as_usize()]);
+                h.u64(sig.len() as u64);
+                for (role, marked) in sig {
+                    h.u64(role);
+                    h.u64(marked);
+                }
+                next.push(h.finish());
+            }
+            let next_classes = distinct(&next);
+            colors = next;
+            if next_classes == classes {
+                break;
+            }
+            classes = next_classes;
+        }
+
+        // canonical order: by color, ties by original id (tied variables are
+        // interchangeable as far as the refinement could see)
+        let mut order: Vec<VarId> = (0..n as u32).map(VarId).collect();
+        order.sort_by_key(|v| (colors[v.as_usize()], v.0));
+        let mut slot = vec![0usize; n];
+        for (k, v) in order.iter().enumerate() {
+            slot[v.as_usize()] = k;
+        }
+
+        // fingerprint of the fully colored structure
+        let mut h = Fnv64::new();
+        h.str(CANON_VERSION);
+        h.u64(n as u64);
+        for v in &order {
+            h.u64(colors[v.as_usize()]);
+            let mut dh = Fnv64::new();
+            dh.u64(domain_hash(model.vars()[v.as_usize()].domain));
+            h.u64(dh.finish());
+        }
+        h.u64(expr_hash(&model.objective, &colors, None));
+        let mut cons: Vec<u64> = (0..model.constraints().len())
+            .map(|j| constraint_hash(model, j, &colors, None))
+            .collect();
+        cons.sort_unstable();
+        h.u64(cons.len() as u64);
+        for c in cons {
+            h.u64(c);
+        }
+
+        CanonicalModel {
+            fingerprint: h.finish(),
+            colors,
+            order,
+            slot,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::model::{ConstraintOp, Domain, Expr, Model};
+    use proptest::prelude::*;
 
     fn sample_model() -> Model {
         // minimize ceil(100/t) + 3·u·t  s.t.  t ≤ 17,  u·t ≤ 40
@@ -487,6 +855,133 @@ mod tests {
         let hex = c.hex();
         assert_eq!(hex.len(), 16);
         assert!(hex.chars().all(|ch| ch.is_ascii_hexdigit()));
+    }
+
+    /// A splitmix64 stream: random models need no more than that.
+    struct Gen(u64);
+
+    impl Gen {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+    }
+
+    /// A random expression over `n` variables. Constants come from a
+    /// small pool (signed zeros included) and earlier subtrees are reused,
+    /// so repeated and variable-free subtrees are common.
+    fn random_expr(g: &mut Gen, n: usize, depth: u32, seen: &mut Vec<Expr>) -> Expr {
+        const CONSTS: [f64; 6] = [0.0, -0.0, 1.0, 2.0, 3.5, 64.0];
+        let leaf = depth == 0 || g.below(4) == 0;
+        let e = match (leaf, g.below(8)) {
+            (_, 0) if !seen.is_empty() => seen[g.below(seen.len() as u64) as usize].clone(),
+            (true, k) if k % 2 == 0 || n == 0 => Expr::Const(CONSTS[g.below(6) as usize]),
+            (true, _) => Expr::Var(VarId(g.below(n as u64) as u32)),
+            (false, k) => {
+                let mut kids = |g: &mut Gen, count: u64| -> Vec<Expr> {
+                    (0..count)
+                        .map(|_| random_expr(g, n, depth - 1, seen))
+                        .collect()
+                };
+                match k {
+                    1 | 2 => {
+                        let count = 1 + g.below(4);
+                        Expr::Add(kids(g, count))
+                    }
+                    3 | 4 => {
+                        let count = 1 + g.below(4);
+                        Expr::Mul(kids(g, count))
+                    }
+                    5 => {
+                        let ab = kids(g, 2);
+                        let [a, b] = <[Expr; 2]>::try_from(ab).expect("two kids");
+                        Expr::Sub(Box::new(a), Box::new(b))
+                    }
+                    6 => {
+                        let ab = kids(g, 2);
+                        let [a, b] = <[Expr; 2]>::try_from(ab).expect("two kids");
+                        Expr::CeilDiv(Box::new(a), Box::new(b))
+                    }
+                    _ if n > 0 => {
+                        let v = VarId(g.below(n as u64) as u32);
+                        let count = 1 + g.below(3);
+                        Expr::Select(v, kids(g, count))
+                    }
+                    _ => Expr::Add(kids(g, 2)),
+                }
+            }
+        };
+        seen.push(e.clone());
+        e
+    }
+
+    /// A random model: up to 7 variables over a few shared domains (so
+    /// colors tie), a random objective and up to 5 random constraints.
+    fn random_model(seed: u64) -> Model {
+        let mut g = Gen(seed);
+        let mut m = Model::new();
+        let n = g.below(8) as usize;
+        for v in 0..n {
+            let domain = match g.below(3) {
+                0 => Domain::Binary,
+                1 => Domain::Int { lo: 1, hi: 16 },
+                _ => Domain::Int { lo: 0, hi: 4 },
+            };
+            m.add_var(format!("x{v}"), domain);
+        }
+        let mut seen = Vec::new();
+        m.objective = random_expr(&mut g, n, 4, &mut seen);
+        for j in 0..g.below(6) {
+            let expr = random_expr(&mut g, n, 3, &mut seen);
+            let op = match g.below(3) {
+                0 => ConstraintOp::Le,
+                1 => ConstraintOp::Eq,
+                _ => ConstraintOp::Ge,
+            };
+            m.add_constraint(format!("c{j}"), expr, op, g.below(4) as f64 * 8.0);
+        }
+        m
+    }
+
+    fn assert_matches_reference(m: &Model) -> Result<(), TestCaseError> {
+        let fast = canonicalize(m);
+        let slow = reference::canonicalize(m);
+        prop_assert_eq!(fast.fingerprint, slow.fingerprint);
+        prop_assert_eq!(&fast.colors, &slow.colors);
+        prop_assert_eq!(&fast.order, &slow.order);
+        prop_assert_eq!(&fast.slot, &slow.slot);
+        Ok(())
+    }
+
+    #[test]
+    fn sample_model_matches_reference() {
+        assert_matches_reference(&sample_model()).expect("sample model");
+        assert_matches_reference(&Model::new()).expect("empty model");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The occurrence-indexed refinement is bit-identical to the
+        /// original whole-model re-hash, on models and on their renamings.
+        #[test]
+        fn incremental_refinement_matches_reference(seed in 0u64..u64::MAX, perm_seed in 0u64..u64::MAX) {
+            let m = random_model(seed);
+            assert_matches_reference(&m)?;
+            let mut g = Gen(perm_seed);
+            let mut perm: Vec<usize> = (0..m.num_vars()).collect();
+            for i in (1..perm.len()).rev() {
+                perm.swap(i, g.below(i as u64 + 1) as usize);
+            }
+            assert_matches_reference(&permuted_model(&m, &perm))?;
+        }
     }
 
     #[test]
